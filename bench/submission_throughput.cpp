@@ -1,7 +1,5 @@
-// Spawn throughput with 1–8 concurrent in-task submitters, comparing the
-// address-striped dependency pipeline (default shard count) against the
-// shards=1 configuration, which serializes every submission on one mutex —
-// the behavior of the pre-sharding global submission lock.
+// Spawn throughput of the lock-free dependency pipeline with 1–8 concurrent
+// in-task submitters.
 //
 // Each submitter is a generator task that spawns a stream of small
 // dependent tasks over its own private lanes; generators run on distinct
@@ -44,13 +42,12 @@ void run_submission_round(smpss::Runtime& rt, int submitters,
   rt.barrier();
 }
 
-void submission_bench(benchmark::State& state, unsigned dep_shards,
-                      bool dep_lockfree) {
+// The row keeps its historical `_Lockfree` name so the perf gate's cached
+// baselines still match it.
+void BM_SpawnThroughput_Lockfree(benchmark::State& state) {
   const int submitters = static_cast<int>(state.range(0));
   smpss::Config cfg;
   cfg.nested_tasks = true;
-  cfg.dep_shards = dep_shards;
-  cfg.dep_lockfree = dep_lockfree;
   // One worker per generator plus the main thread; children interleave on
   // the same workers, so submission and execution contend realistically.
   cfg.num_threads = static_cast<unsigned>(submitters) + 1;
@@ -70,29 +67,6 @@ void submission_bench(benchmark::State& state, unsigned dep_shards,
       benchmark::Counter(static_cast<double>(tasks), benchmark::Counter::kIsRate);
   state.counters["submitters"] =
       benchmark::Counter(static_cast<double>(submitters));
-  state.counters["dep_shards"] =
-      benchmark::Counter(static_cast<double>(rt.config().dep_shards));
-  state.counters["dep_lockfree"] =
-      benchmark::Counter(rt.config().dep_lockfree ? 1.0 : 0.0);
-}
-
-// The Sharded/GlobalLock rows pin dep_lockfree off: they are the mutex
-// baselines the lock-free row is compared against (and what the runtime
-// falls back to under SMPSS_DEP_LOCKFREE=0).
-void BM_SpawnThroughput_Sharded(benchmark::State& state) {
-  submission_bench(state, /*dep_shards=*/0,  // 0 = auto (default striping)
-                   /*dep_lockfree=*/false);
-}
-
-void BM_SpawnThroughput_GlobalLock(benchmark::State& state) {
-  submission_bench(state, /*dep_shards=*/1,  // single shard ≈ global mutex
-                   /*dep_lockfree=*/false);
-}
-
-// The default pipeline: CAS-published version chains, no shard mutex on
-// the submission path. The shard count only picks the entry-table layout.
-void BM_SpawnThroughput_Lockfree(benchmark::State& state) {
-  submission_bench(state, /*dep_shards=*/0, /*dep_lockfree=*/true);
 }
 
 void submitter_axis(benchmark::internal::Benchmark* b) {
@@ -101,6 +75,4 @@ void submitter_axis(benchmark::internal::Benchmark* b) {
 
 }  // namespace
 
-BENCHMARK(BM_SpawnThroughput_Sharded)->Apply(submitter_axis)->UseRealTime();
-BENCHMARK(BM_SpawnThroughput_GlobalLock)->Apply(submitter_axis)->UseRealTime();
 BENCHMARK(BM_SpawnThroughput_Lockfree)->Apply(submitter_axis)->UseRealTime();

@@ -10,7 +10,12 @@
 namespace smpss {
 
 std::optional<std::string> env_string(const char* name);
+/// Unset or empty: nullopt. A value that is not entirely a base-10 integer
+/// in range ("3x", "abc") is rejected whole: nullopt plus one stderr line
+/// naming the variable and value. Never aborts.
 std::optional<long long> env_int(const char* name);
-std::optional<bool> env_bool(const char* name);  // accepts 0/1/true/false/on/off
+/// Accepts 0/1/true/false/on/off/yes/no (any case); anything else is
+/// rejected like a malformed env_int value.
+std::optional<bool> env_bool(const char* name);
 
 }  // namespace smpss

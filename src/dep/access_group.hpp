@@ -148,8 +148,9 @@ struct AccessGroup {
 
   // --- lifetime -------------------------------------------------------------
   // Refs: one per live member (Commutative via its token, Concurrent via its
-  // reduce fixup), one for the group version (Version::group()), one for the
-  // analyzer's open-group registry.
+  // reduce fixup), one for the group version (Version::group() — the initial
+  // reference below, handed over at group open), one for the analyzer's
+  // open-group registry.
   std::atomic<int> refs{1};
   void add_ref() noexcept { refs.fetch_add(1, std::memory_order_relaxed); }
   void release() noexcept {

@@ -21,61 +21,41 @@ bool available_to(const TaskNode* task, const Version* v) {
   return prod == nullptr || v->is_produced() || prod == task ||
          task->has_ancestor(prod);
 }
-
-constexpr unsigned kMaxShards = 1u << 10;
-
-unsigned round_up_pow2(unsigned n) {
-  unsigned p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 }  // namespace
 
 DependencyAnalyzer::DependencyAnalyzer(RenamePool& pool, bool renaming_enabled,
-                                       unsigned shard_count,
                                        GraphRecorder* recorder,
                                        unsigned owner_slots,
-                                       unsigned cache_blocks, bool lockfree)
+                                       unsigned cache_blocks)
     : pool_(pool),
       renaming_(renaming_enabled),
-      // The no-renaming ablation records per-version reader task lists for
-      // WAR edges; that needs the submission lock, so it forces locked mode.
-      lockfree_(lockfree && renaming_enabled),
       recorder_(recorder),
       workers_(owner_slots < 1 ? 1 : owner_slots),
+      buckets_(std::make_unique<std::atomic<DataEntry*>[]>(kBuckets)),
+      stripes_(std::make_unique<CounterStripe[]>(kStripes)),
       vpool_(Version::block_bytes(), alignof(std::max_align_t),
              owner_slots < 1 ? 1 : owner_slots,
-             cache_blocks < 1 ? 1 : cache_blocks) {
-  if (shard_count < 1) shard_count = 1;
-  if (shard_count > kMaxShards) shard_count = kMaxShards;
-  shard_count = round_up_pow2(shard_count);
-  shard_mask_ = shard_count - 1;
-  shards_ = std::make_unique<Shard[]>(shard_count);
-  stripes_ = std::make_unique<CounterStripe[]>(kStripes);
-}
+             cache_blocks < 1 ? 1 : cache_blocks) {}
 
 DependencyAnalyzer::~DependencyAnalyzer() {
   // Normal shutdown goes through flush_all() after a barrier; this handles
   // abandoned runtimes without leaking versions or entries.
   for (AccessGroup* g : open_groups_) g->release();
-  for (unsigned s = 0; s <= shard_mask_; ++s) {
-    for (auto& bucket : shards_[s].buckets) {
-      DataEntry* p = bucket.load(std::memory_order_acquire);
-      while (p != nullptr) {
-        DataEntry* next = p->next.load(std::memory_order_relaxed);
-        if (Version* v = p->latest.load(std::memory_order_acquire))
-          v->release(pool_);
-        delete p;
-        p = next;
-      }
+  for (unsigned b = 0; b < kBuckets; ++b) {
+    DataEntry* p = buckets_[b].load(std::memory_order_acquire);
+    while (p != nullptr) {
+      DataEntry* next = p->next.load(std::memory_order_relaxed);
+      if (Version* v = p->latest.load(std::memory_order_acquire))
+        v->release(pool_);
+      delete p;
+      p = next;
     }
   }
 }
 
 DataEntry& DependencyAnalyzer::entry_for(CounterStripe& st, unsigned slot,
                                          void* addr, std::size_t bytes) {
-  Shard& sh = shard_for(addr);
-  std::atomic<DataEntry*>& bucket = sh.buckets[bucket_of_hash(hash_of(addr))];
+  std::atomic<DataEntry*>& bucket = buckets_[bucket_of(addr)];
   DataEntry* head = bucket.load(std::memory_order_acquire);
   for (DataEntry* p = head; p != nullptr;
        p = p->next.load(std::memory_order_acquire)) {
@@ -146,8 +126,7 @@ void DependencyAnalyzer::add_edge(CounterStripe& st, TaskNode* pred,
     succ->account->edges.fetch_add(1, std::memory_order_relaxed);
 }
 
-Version* DependencyAnalyzer::pin_latest(CounterStripe& st, TaskNode* task,
-                                        DataEntry& e) {
+Version* DependencyAnalyzer::pin_latest(CounterStripe& st, DataEntry& e) {
   while (true) {
     Version* v = e.latest.load(std::memory_order_acquire);
     // Register first (count + ref), then validate the head is unchanged.
@@ -157,7 +136,7 @@ Version* DependencyAnalyzer::pin_latest(CounterStripe& st, TaskNode* task,
     // probe sees our pending count. If the version died and the block was
     // recycled in between, the abort makes the excursion net-zero (see
     // dep/version.hpp).
-    v->register_reader(task, /*record_task=*/false);
+    v->register_reader();
     if (e.latest.load(std::memory_order_seq_cst) == v) return v;
     v->abort_reader_registration(pool_);
     st.cas_retries.fetch_add(1, std::memory_order_relaxed);
@@ -176,15 +155,9 @@ void* DependencyAnalyzer::process(TaskNode* task, const AccessDesc& access) {
     case Dir::In:
       return process_read(st, task, e, access.bytes);
     case Dir::Out:
-      if (lockfree_)
-        return process_write_lockfree(st, slot, task, e, access.bytes,
-                                      /*also_reads=*/false);
       return process_write(st, slot, task, e, access.bytes,
                            /*also_reads=*/false);
     case Dir::InOut:
-      if (lockfree_)
-        return process_write_lockfree(st, slot, task, e, access.bytes,
-                                      /*also_reads=*/true);
       return process_write(st, slot, task, e, access.bytes,
                            /*also_reads=*/true);
     case Dir::Commutative:
@@ -196,23 +169,18 @@ void* DependencyAnalyzer::process(TaskNode* task, const AccessDesc& access) {
 
 void* DependencyAnalyzer::process_read(CounterStripe& st, TaskNode* task,
                                        DataEntry& e, std::size_t bytes) {
-  Version* v;
-  if (lockfree_) {
-    // The speculative pin IS the reader registration once validated.
-    v = pin_latest(st, task, e);
-  } else {
-    v = e.latest.load(std::memory_order_acquire);
-    // Reader task recording feeds WAR edges, which only the no-renaming
-    // ablation emits; skip the vector churn (and per-reader task refs) when
-    // renaming absorbs those hazards.
-    v->register_reader(task, /*record_task=*/!renaming_);
-  }
+  // The speculative pin IS the reader registration once validated.
+  Version* v = pin_latest(st, e);
+  // Reader task recording feeds WAR edges, which only the no-renaming
+  // ablation emits; skip the vector churn (and per-reader task refs) when
+  // renaming absorbs those hazards.
+  if (!renaming_) v->record_reader_task(task);
   // A read is a non-matching access for any open commuting group at the
   // head: seal it, so no later member can slip in behind this reader. The
   // ordering itself needs nothing special — the group version's producer is
   // its close node, so the ordinary RAW edge below orders this reader after
-  // the entire group. (Safe to inspect: the pin/registration above keeps v
-  // alive, and sealing races are idempotent.)
+  // the entire group. (Safe to inspect: the pin above keeps v alive, and
+  // sealing races are idempotent.)
   if (AccessGroup* g = v->group()) seal_group(st, g);
   // A freshly CAS-published version may still be storage-unresolved while
   // its writer decides between reuse and rename; bytes()/renamed() are only
@@ -236,10 +204,38 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
                                         TaskNode* task, DataEntry& e,
                                         std::size_t bytes, bool also_reads,
                                         AccessGroup* group) {
+  // Publish first, decide later: the new version is CAS-swung onto the chain
+  // head with its storage still unresolved. Success transfers the superseded
+  // version's latest-token to us — from that point v cannot die under us and
+  // no later writer can touch it (writers of one datum serialize on this
+  // CAS). Crucially, v is NOT read at all before the CAS: a lost race means
+  // the pointer may refer to a recycled block, and only the transferred
+  // token makes its fields trustworthy.
+  Version* v2 = Version::create(vpool_, slot, &e, Version::unresolved_storage(),
+                                /*bytes=*/0, /*renamed=*/false, task);
+  if (group) {
+    // Opening a commuting group: attach it before publication so any access
+    // that observes the new head already sees the group pointer (joiners
+    // then spin on group->ready for the wiring below to finish). The
+    // version takes over the group's initial reference.
+    v2->set_group(group);
+  }
+  // Strong CAS: a failure is always a lost race, never spurious, so
+  // cas_retries counts real contention only (zero with one submitter).
   Version* v = e.latest.load(std::memory_order_acquire);
+  while (!e.latest.compare_exchange_strong(v, v2, std::memory_order_seq_cst,
+                                           std::memory_order_acquire)) {
+    st.cas_retries.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Our predecessor may itself still be storage-unresolved (its writer is
+  // mid-decision); every field read below needs it finalized.
+  v->storage_wait();
 
-  // A plain write never commutes with an open group at the head: seal it.
-  // The hazard probe below sees the group version unproduced (its close node
+  // Whatever open commuting group the superseded head carried is sealed by
+  // this supersession — including when we are ourselves opening a new group
+  // on top (a lost publication race between two matching accesses stacks two
+  // groups; the close-node edges below still order them correctly). The
+  // hazard probes below see the group version unproduced (its close node
   // retires only after every member), which forces the rename/edge that
   // orders this writer after the whole group.
   if (AccessGroup* pg = v->group()) seal_group(st, pg);
@@ -268,22 +264,29 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
     // an ancestor counts as produced (see available_to): the child writes
     // inside the ancestor's access, so reusing its bytes is the coherent
     // choice, not a hazard.
+    //
+    // Hazard probe: the seq_cst readers_pending read after our seq_cst CAS
+    // pairs with the reader pin protocol (register seq_cst, then validate) —
+    // a reader that validated against v is visible here, and a reader we do
+    // not see will fail validation and retry against v2. Phantom counts from
+    // recycled-block excursions can only inflate the probe (spurious rename,
+    // never a missed hazard).
     const bool others_reading = v->readers_pending() > 0;
     const bool old_unproduced = !available_to(task, v);
     // A renamed buffer's capacity is the extent it was allocated with; a
     // growing write cannot reuse it in place (user storage can always grow —
     // the program owns at least the declared bytes at that address).
     const bool too_small = v->renamed() && ext > old_ext;
-    const bool hazard = (also_reads ? others_reading
-                                    : (others_reading || old_unproduced)) ||
-                        too_small;
+    const bool hazard =
+        (also_reads ? others_reading : (others_reading || old_unproduced)) ||
+        too_small;
     if (!hazard) {
       // The RAW on the reused value is ordered by the pending-count edge
       // alone; with raw-pred tracking on, also register it as a read so the
       // scheduling policy's submit hook sees the producer (the reader token
       // only extends the superseded version's lifetime to this completion).
       if (track_raw_preds_ && also_reads && !available_to(task, v)) {
-        v->register_reader(task, /*record_task=*/false);
+        v->register_reader();
         task->reads.push_back(v);
       }
       storage = v->storage();
@@ -310,8 +313,9 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
           add_edge(st, v->producer(), task, EdgeKind::True);
         }
         // Register as reader (keeps the old version's storage alive until
-        // this task completes) and schedule the byte copy.
-        v->register_reader(task, /*record_task=*/false);
+        // this task completes) and schedule the byte copy. v is stable (we
+        // hold its former latest-token), so this needs no speculative pin.
+        v->register_reader();
         task->reads.push_back(v);
         if (v->storage() == e.user_ptr) {
           e.user_storage_pending.fetch_add(1, std::memory_order_relaxed);
@@ -342,7 +346,9 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
     // No-renaming ablation: everything stays in the user's storage and the
     // hazards the paper eliminates become explicit graph edges. Ancestor
     // accesses are exempt for the same scoping reason as above. The merge
-    // invariant is trivial here — all writes land in user storage.
+    // invariant is trivial here — all writes land in user storage. Reading
+    // v's reader list is safe because the Runtime serializes this
+    // configuration's analysis (see file comment in the header).
     if (!available_to(task, v)) {
       add_edge(st, v->producer(), task, EdgeKind::Output);
     }
@@ -353,149 +359,18 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
     }
     // Same raw-pred visibility as the renaming reuse path above.
     if (track_raw_preds_ && also_reads && !available_to(task, v)) {
-      v->register_reader(task, /*record_task=*/false);
+      v->register_reader();
       task->reads.push_back(v);
     }
     storage = v->storage();
-    renamed = false;
     v->disown_storage();
   }
 
-  auto* v2 = Version::create(vpool_, slot, &e, storage, ext, renamed, task,
-                             acct);
   if (group) {
-    // Opening a commuting group: the new version carries the group (one ref,
-    // released by ~Version), and the group pins the superseded version so
-    // member wiring can keep taking edges from its producer/readers.
-    group->bytes = ext;
-    v->add_ref();
-    group->prev = v;
-    group->add_ref();
-    v2->set_group(group);
-  }
-  e.latest.store(v2, std::memory_order_release);
-  v->release(pool_);  // drop the superseded version's latest-token
-  task->produces.push_back(v2);
-  if (storage == e.user_ptr) {
-    e.user_storage_pending.fetch_add(1, std::memory_order_relaxed);
-    task->user_pending_slots.push_back(&e.user_storage_pending);
-  }
-  return storage;
-}
-
-void* DependencyAnalyzer::process_write_lockfree(CounterStripe& st,
-                                                 unsigned slot, TaskNode* task,
-                                                 DataEntry& e,
-                                                 std::size_t bytes,
-                                                 bool also_reads,
-                                                 AccessGroup* group) {
-  SMPSS_ASSERT(renaming_);
-  // Publish first, decide later: the new version is CAS-swung onto the chain
-  // head with its storage still unresolved. Success transfers the superseded
-  // version's latest-token to us — from that point v cannot die under us and
-  // no later writer can touch it (writers of one datum serialize on this
-  // CAS). Crucially, v is NOT read at all before the CAS: a lost race means
-  // the pointer may refer to a recycled block, and only the transferred
-  // token makes its fields trustworthy.
-  Version* v2 = Version::create(vpool_, slot, &e, Version::unresolved_storage(),
-                                /*bytes=*/0, /*renamed=*/false, task);
-  if (group) {
-    // Opening a commuting group: attach it before publication so any access
-    // that observes the new head already sees the group pointer (joiners
-    // then spin on group->ready for the wiring below to finish).
-    group->add_ref();
-    v2->set_group(group);
-  }
-  Version* v = e.latest.load(std::memory_order_acquire);
-  while (!e.latest.compare_exchange_weak(v, v2, std::memory_order_seq_cst,
-                                         std::memory_order_acquire)) {
-    st.cas_retries.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Our predecessor may itself still be storage-unresolved (its writer is
-  // mid-decision); every field read below needs it finalized.
-  v->storage_wait();
-
-  // Whatever open commuting group the superseded head carried is sealed by
-  // this supersession — including when we are ourselves opening a new group
-  // on top (a lost publication race between two matching accesses stacks two
-  // groups; the close-node edges below still order them correctly).
-  if (AccessGroup* pg = v->group()) seal_group(st, pg);
-
-  const std::size_t old_ext = v->bytes();
-  fetch_max(e.bytes, bytes);
-  const std::size_t ext = e.bytes.load(std::memory_order_relaxed);
-
-  if (also_reads && !available_to(task, v)) {
-    add_edge(st, v->producer(), task, EdgeKind::True);  // RAW on the old value
-  }
-
-  void* storage = nullptr;
-  bool renamed = false;
-  SubmitterAccount* acct = nullptr;
-
-  // Hazard probe: the seq_cst readers_pending read after our seq_cst CAS
-  // pairs with the reader pin protocol (register seq_cst, then validate) —
-  // a reader that validated against v is visible here, and a reader we do
-  // not see will fail validation and retry against v2. Phantom counts from
-  // recycled-block excursions can only inflate the probe (spurious rename,
-  // never a missed hazard).
-  const bool others_reading = v->readers_pending() > 0;
-  const bool old_unproduced = !available_to(task, v);
-  const bool too_small = v->renamed() && ext > old_ext;
-  const bool hazard =
-      (also_reads ? others_reading : (others_reading || old_unproduced)) ||
-      too_small;
-
-  if (!hazard) {
-    // Raw-pred visibility for the policy's submit hook (see process_write);
-    // v is stable here — we hold its former latest-token.
-    if (track_raw_preds_ && also_reads && !available_to(task, v)) {
-      v->register_reader(task, /*record_task=*/false);
-      task->reads.push_back(v);
-    }
-    storage = v->storage();
-    renamed = v->renamed();
-    acct = v->account();
-    v->disown_storage();
-    st.in_place_reuses.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    acct = task->account;
-    storage = pool_.allocate(ext, acct);
-    renamed = true;
-    const std::size_t keep_lo = also_reads ? 0 : bytes;
-    if (keep_lo < old_ext) {
-      if (!also_reads && !available_to(task, v)) {
-        add_edge(st, v->producer(), task, EdgeKind::True);
-      }
-      // v is stable (we hold its former latest-token), so this registration
-      // needs no speculative pin.
-      v->register_reader(task, /*record_task=*/false);
-      task->reads.push_back(v);
-      if (v->storage() == e.user_ptr) {
-        e.user_storage_pending.fetch_add(1, std::memory_order_relaxed);
-        task->user_pending_slots.push_back(&e.user_storage_pending);
-      }
-      task->copy_ins.push_back(
-          CopyIn{static_cast<const char*>(v->storage()) + keep_lo,
-                 static_cast<char*>(storage) + keep_lo, old_ext - keep_lo});
-      st.copy_ins.fetch_add(1, std::memory_order_relaxed);
-      st.copy_in_bytes.fetch_add(old_ext - keep_lo, std::memory_order_relaxed);
-    }
-    if (also_reads && ext > old_ext) {
-      e.user_storage_pending.fetch_add(1, std::memory_order_relaxed);
-      task->user_pending_slots.push_back(&e.user_storage_pending);
-      task->copy_ins.push_back(
-          CopyIn{static_cast<const char*>(e.user_ptr) + old_ext,
-                 static_cast<char*>(storage) + old_ext, ext - old_ext});
-      st.copy_ins.fetch_add(1, std::memory_order_relaxed);
-      st.copy_in_bytes.fetch_add(ext - old_ext, std::memory_order_relaxed);
-    }
-  }
-
-  if (group) {
-    // Group bookkeeping mirrors the locked path; v is stable here (we hold
-    // its former latest-token) and group->ready is still unset, so no joiner
-    // reads these fields yet.
+    // Group bookkeeping: v is stable here (we hold its former latest-token)
+    // and group->ready is still unset, so no joiner reads these fields yet.
+    // The group pins the superseded version so member wiring can keep
+    // taking edges from its producer/readers.
     group->bytes = ext;
     v->add_ref();
     group->prev = v;
@@ -524,14 +399,9 @@ void* DependencyAnalyzer::process_commuting(CounterStripe& st, unsigned slot,
 
   // Try to join an open matching group at the chain head.
   while (true) {
-    Version* v;
-    if (lockfree_) {
-      // Pin before inspecting: only a validated pin makes v's fields (group
-      // pointer included) trustworthy against block recycling.
-      v = pin_latest(st, task, e);
-    } else {
-      v = e.latest.load(std::memory_order_acquire);
-    }
+    // Pin before inspecting: only a validated pin makes v's fields (group
+    // pointer included) trustworthy against block recycling.
+    Version* v = pin_latest(st, e);
     AccessGroup* g = v->group();
     bool joined = false;
     if (g != nullptr) {
@@ -543,7 +413,7 @@ void* DependencyAnalyzer::process_commuting(CounterStripe& st, unsigned slot,
       if (match) {
         bool still_open;
         g->mu.lock();
-        // Head revalidation closes the lock-free race where the group was
+        // Head revalidation closes the race where the group was
         // superseded (and sealed) between our pin and the lock.
         if (g->open.load(std::memory_order_relaxed) &&
             e.latest.load(std::memory_order_acquire) == v) {
@@ -554,7 +424,7 @@ void* DependencyAnalyzer::process_commuting(CounterStripe& st, unsigned slot,
         g->mu.unlock();
         if (!joined && still_open) {
           // Open but no longer at the head: retry against the new head.
-          if (lockfree_) v->reader_finished(pool_);
+          v->reader_finished(pool_);
           st.cas_retries.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
@@ -567,10 +437,10 @@ void* DependencyAnalyzer::process_commuting(CounterStripe& st, unsigned slot,
     }
     if (joined) {
       void* s = v->storage_wait();
-      if (lockfree_) v->reader_finished(pool_);
+      v->reader_finished(pool_);
       return s;
     }
-    if (lockfree_) v->reader_finished(pool_);
+    v->reader_finished(pool_);
     break;
   }
 
@@ -583,10 +453,7 @@ void* DependencyAnalyzer::process_commuting(CounterStripe& st, unsigned slot,
                             pool_);
   TaskNode* close = close_factory_(slot);
   g->close = close;
-  void* storage =
-      lockfree_ ? process_write_lockfree(st, slot, close, e, access.bytes,
-                                         /*also_reads=*/true, g)
-                : process_write(st, slot, close, e, access.bytes,
+  void* storage = process_write(st, slot, close, e, access.bytes,
                                 /*also_reads=*/true, g);
   if (access.dir == Dir::Commutative && !close->copy_ins.empty()) {
     // Renamed commutative storage: the inherit copies must land before the
@@ -652,7 +519,8 @@ void DependencyAnalyzer::join_member(CounterStripe& st, TaskNode* task,
 }
 
 void DependencyAnalyzer::seal_group(CounterStripe& st, AccessGroup* g) {
-  // The group may be published but not yet initialized (lock-free path).
+  // The group may be published but not yet initialized (its opener is
+  // still inside process_write).
   while (!g->ready.load(std::memory_order_acquire)) cpu_relax();
   bool winner = false;
   g->mu.lock();
@@ -710,54 +578,36 @@ void DependencyAnalyzer::close_open_groups() {
 
 void DependencyAnalyzer::flush_all() {
   CounterStripe& st = stripes_[0];
-  for (unsigned s = 0; s <= shard_mask_; ++s) {
-    Shard& sh = shards_[s];
-    std::lock_guard<std::mutex> lk(sh.mu);
-    for (auto& bucket : sh.buckets) {
-      DataEntry* p = bucket.load(std::memory_order_acquire);
-      bucket.store(nullptr, std::memory_order_relaxed);
-      while (p != nullptr) {
-        DataEntry* next = p->next.load(std::memory_order_relaxed);
-        Version* v = p->latest.load(std::memory_order_acquire);
-        SMPSS_ASSERT(v->is_produced());
-        SMPSS_ASSERT(v->readers_pending() == 0);
-        // The merged-extent invariant copy-back correctness rests on.
-        SMPSS_ASSERT(v->bytes() == p->bytes.load(std::memory_order_relaxed));
-        if (v->storage() != p->user_ptr) {
-          std::memcpy(p->user_ptr, v->storage(), v->bytes());
-          st.copyback_bytes.fetch_add(v->bytes(), std::memory_order_relaxed);
-        }
-        v->release(pool_);
-        delete p;
-        p = next;
+  for (unsigned b = 0; b < kBuckets; ++b) {
+    DataEntry* p = buckets_[b].load(std::memory_order_acquire);
+    buckets_[b].store(nullptr, std::memory_order_relaxed);
+    while (p != nullptr) {
+      DataEntry* next = p->next.load(std::memory_order_relaxed);
+      Version* v = p->latest.load(std::memory_order_acquire);
+      SMPSS_ASSERT(v->is_produced());
+      SMPSS_ASSERT(v->readers_pending() == 0);
+      // The merged-extent invariant copy-back correctness rests on.
+      SMPSS_ASSERT(v->bytes() == p->bytes.load(std::memory_order_relaxed));
+      if (v->storage() != p->user_ptr) {
+        std::memcpy(p->user_ptr, v->storage(), v->bytes());
+        st.copyback_bytes.fetch_add(v->bytes(), std::memory_order_relaxed);
       }
+      v->release(pool_);
+      delete p;
+      p = next;
     }
   }
 }
 
 DataEntry* DependencyAnalyzer::find(const void* addr) {
-  Shard& sh = shard_for(addr);
-  for (DataEntry* p =
-           sh.buckets[bucket_of_hash(hash_of(addr))].load(
-               std::memory_order_acquire);
+  for (DataEntry* p = buckets_[bucket_of(addr)].load(std::memory_order_acquire);
        p != nullptr; p = p->next.load(std::memory_order_acquire)) {
     if (p->user_ptr == addr) return p;
   }
   return nullptr;
 }
 
-void DependencyAnalyzer::copy_back_latest(DataEntry& entry) {
-  Version* v = entry.latest.load(std::memory_order_acquire);
-  SMPSS_ASSERT(v->is_produced());
-  SMPSS_ASSERT(v->bytes() == entry.bytes.load(std::memory_order_relaxed));
-  if (v->storage() != entry.user_ptr) {
-    std::memcpy(entry.user_ptr, v->storage(), v->bytes());
-    stripes_[0].copyback_bytes.fetch_add(v->bytes(),
-                                         std::memory_order_relaxed);
-  }
-}
-
-DependencyAnalyzer::CopyBack DependencyAnalyzer::try_copy_back_lockfree(
+DependencyAnalyzer::CopyBack DependencyAnalyzer::try_copy_back(
     const void* addr) {
   DataEntry* e = find(addr);
   if (e == nullptr) return CopyBack::kUntracked;
@@ -765,7 +615,7 @@ DependencyAnalyzer::CopyBack DependencyAnalyzer::try_copy_back_lockfree(
   // Pin the head as a reader: any writer racing in must now see
   // readers_pending > 0 and rename, so the bytes we copy from stay stable
   // for the duration of the pin.
-  Version* v = pin_latest(st, /*task=*/nullptr, *e);
+  Version* v = pin_latest(st, *e);
   const bool ready =
       v->is_produced() &&
       e->user_storage_pending.load(std::memory_order_acquire) == 0;
@@ -806,12 +656,10 @@ DependencyAnalyzer::Counters DependencyAnalyzer::counters_snapshot() const {
 
 std::size_t DependencyAnalyzer::live_entries() const noexcept {
   std::size_t n = 0;
-  for (unsigned s = 0; s <= shard_mask_; ++s) {
-    for (const auto& bucket : shards_[s].buckets) {
-      for (DataEntry* p = bucket.load(std::memory_order_acquire); p != nullptr;
-           p = p->next.load(std::memory_order_acquire)) {
-        ++n;
-      }
+  for (unsigned b = 0; b < kBuckets; ++b) {
+    for (DataEntry* p = buckets_[b].load(std::memory_order_acquire);
+         p != nullptr; p = p->next.load(std::memory_order_acquire)) {
+      ++n;
     }
   }
   return n;

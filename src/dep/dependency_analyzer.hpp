@@ -9,17 +9,17 @@
 // disabled (an ablation the paper argues against) anti- and output-
 // dependency edges are inserted instead.
 //
-// Concurrency: the per-datum tables are hash-sharded. In the lock-free
-// configuration (SMPSS_DEP_LOCKFREE, the default with renaming + nested
-// submitters) submission takes no mutex at all:
+// Concurrency: one pipeline for every configuration. Submission takes no
+// mutex; any number of submitters may call in concurrently:
 //
-//   * the entry table is a per-shard array of CAS-prepend bucket chains
+//   * the entry table is a fixed array of CAS-prepend bucket chains
 //     (entries are address-stable and only reclaimed at flush, which
 //     requires quiescence);
 //   * a reader pins the chain head speculatively — register first, then
 //     validate `latest` is unchanged, retrying on a lost race;
 //   * a writer publishes its new version by CAS on `DataEntry::latest`
-//     *before* deciding between in-place reuse and renaming; the CAS
+//     *before* deciding its storage (in-place reuse or renaming; with
+//     renaming off, output/anti edges over the user's storage); the CAS
 //     transfers the superseded version's latest-token to the writer, whose
 //     subsequent hazard probes (readers_pending / is_produced) are paired
 //     seq_cst with the reader's registration protocol so a just-registered
@@ -29,13 +29,10 @@
 //   Version reclamation rides on the slab pool's type-stable blocks and
 //   generation counters: see the scheme comment atop dep/version.hpp.
 //
-// In the locked fallback (SMPSS_DEP_LOCKFREE=0, or whenever renaming is
-// off) each shard has a mutex which the Runtime acquires for every shard a
-// task touches up front, in index order (two-phase locking, see
-// Runtime::analyze_accesses). The same version-publication code runs under
-// the locks — uncontended, the CASes always succeed first try. In the
-// paper-faithful single-submitter configuration the Runtime skips the locks
-// entirely and calls straight in.
+// The one exception is the no-renaming ablation: its WAR edges come from
+// per-version reader task lists, which are plain vectors. With concurrent
+// submitters the Runtime therefore serializes each task's whole analysis on
+// one mutex (Runtime::analyze_accesses); a single submitter needs nothing.
 //
 // Counters are striped by submitting thread (no shared hot line) and summed
 // on snapshot.
@@ -100,20 +97,14 @@ class DependencyAnalyzer {
 
   /// `owner_slots`/`cache_blocks` size the type-stable version pool (same
   /// slot scheme as the TaskArena: one slot per submitting thread).
-  /// `lockfree` selects CAS publication without shard mutexes; requires
-  /// renaming (the no-renaming ablation records reader task lists, which
-  /// need the submission lock).
   DependencyAnalyzer(RenamePool& pool, bool renaming_enabled,
-                     unsigned shard_count, GraphRecorder* recorder,
-                     unsigned owner_slots, unsigned cache_blocks,
-                     bool lockfree);
+                     GraphRecorder* recorder, unsigned owner_slots,
+                     unsigned cache_blocks);
 
   DependencyAnalyzer(const DependencyAnalyzer&) = delete;
   DependencyAnalyzer& operator=(const DependencyAnalyzer&) = delete;
 
   ~DependencyAnalyzer();
-
-  bool lockfree() const noexcept { return lockfree_; }
 
   /// When set (the aware scheduling policy wants its submit hook fed), an
   /// in-place-reused inout registers its RAW-predecessor version as a read,
@@ -154,25 +145,9 @@ class DependencyAnalyzer {
     return pending_closes_.exchange(nullptr, std::memory_order_acq_rel);
   }
 
-  // --- sharding (two-phase acquisition is the Runtime's job; locked mode) ---
-
-  unsigned shard_count() const noexcept { return shard_mask_ + 1; }
-
-  /// Shard index owning `addr`. Stable for the analyzer's lifetime.
-  unsigned shard_of(const void* addr) const noexcept {
-    return static_cast<unsigned>(hash_of(addr) >> 32) & shard_mask_;
-  }
-
-  /// The mutex guarding shard `s`. Lock shards in increasing index order.
-  /// Unused (never taken) in the lock-free configuration.
-  std::mutex& shard_mutex(unsigned s) const noexcept {
-    return shards_[s].mu;
-  }
-
   // --- analysis -------------------------------------------------------------
-  // Lock-free mode: callable concurrently from any submitter, no locks held.
-  // Locked mode: callers hold the owning shard's mutex (or are the sole
-  // submitter).
+  // Callable concurrently from any submitter, no locks held (except the
+  // no-renaming ablation, see file comment).
 
   /// Analyze one directional parameter of `task`: wire dependency edges,
   /// create/supersede versions, decide renaming. Returns the storage the
@@ -183,21 +158,16 @@ class DependencyAnalyzer {
   /// user storage and drop all tracking state. Requires all tasks complete.
   void flush_all();
 
-  /// Lookup for wait_on(); nullptr when the address was never tracked.
-  /// Lock-free (prepend-only chains), safe in both modes.
+  /// Lookup of an address's entry; nullptr when it was never tracked.
+  /// Lock-free (prepend-only chains).
   DataEntry* find(const void* addr);
 
-  /// Copy the latest version's bytes back into user storage (no state
-  /// change; chain stays intact so later tasks keep their versions).
-  /// Requires the latest version to be produced and user storage quiescent.
-  /// Locked-mode wait_on path: the caller holds the shard mutex.
-  void copy_back_latest(DataEntry& entry);
-
-  /// Lock-free wait_on step: pin the latest version (forcing concurrent
-  /// writers to rename, so the copy source stays stable), and copy it back
-  /// if it is produced and user storage is quiescent.
+  /// wait_on step: pin the latest version (forcing concurrent writers to
+  /// rename, so the copy source stays stable), and copy it back into user
+  /// storage if it is produced and user storage is quiescent. No state
+  /// change; the chain stays intact so later tasks keep their versions.
   enum class CopyBack { kUntracked, kNotReady, kDone };
-  CopyBack try_copy_back_lockfree(const void* addr);
+  CopyBack try_copy_back(const void* addr);
 
   /// True if this address is currently tracked (used to diagnose mixing of
   /// address-mode and region-mode access on one array).
@@ -205,7 +175,7 @@ class DependencyAnalyzer {
 
   // --- introspection --------------------------------------------------------
 
-  /// Sum the per-thread counter stripes. Safe concurrently in both modes.
+  /// Sum the per-thread counter stripes. Safe concurrently with submitters.
   Counters counters_snapshot() const;
 
   std::size_t live_entries() const noexcept;
@@ -231,31 +201,21 @@ class DependencyAnalyzer {
   };
   static constexpr unsigned kStripes = 16;  // power of two
 
+  /// Entry-table layout: 64 × 64 buckets. Shard and bucket indices take
+  /// disjoint bit ranges of one Fibonacci hash over the address (low
+  /// alignment bits dropped), so neighbouring allocations spread out.
+  static constexpr unsigned kShards = 64;           // power of two
   static constexpr unsigned kBucketsPerShard = 64;  // power of two
+  static constexpr unsigned kBuckets = kShards * kBucketsPerShard;
 
-  /// One stripe of the datum table: a small bucket array of CAS-prepend
-  /// entry chains, plus the mutex the locked configuration's two-phase
-  /// acquisition uses. Padded so submitters on different shards never share
-  /// a cache line.
-  struct alignas(kCacheLineSize) Shard {
-    mutable std::mutex mu;
-    std::atomic<DataEntry*> buckets[kBucketsPerShard] = {};
-  };
-
-  static std::uint64_t hash_of(const void* addr) noexcept {
-    // Fibonacci hash over the address with the low alignment bits dropped;
-    // neighbouring allocations land on different shards. Shard and bucket
-    // indices take disjoint bit ranges of the same product.
+  static unsigned bucket_of(const void* addr) noexcept {
     auto p = reinterpret_cast<std::uintptr_t>(addr) >> 4;
-    return static_cast<std::uint64_t>(p) * 0x9E3779B97F4A7C15ull;
-  }
-  static unsigned bucket_of_hash(std::uint64_t h) noexcept {
-    return static_cast<unsigned>(h >> 20) & (kBucketsPerShard - 1);
+    const auto h = static_cast<std::uint64_t>(p) * 0x9E3779B97F4A7C15ull;
+    const auto shard = static_cast<unsigned>(h >> 32) & (kShards - 1);
+    return shard * kBucketsPerShard +
+           (static_cast<unsigned>(h >> 20) & (kBucketsPerShard - 1));
   }
 
-  Shard& shard_for(const void* addr) noexcept {
-    return shards_[shard_of(addr)];
-  }
   CounterStripe& stripe_for(std::uint32_t slot) noexcept {
     return stripes_[slot & (kStripes - 1)];
   }
@@ -276,15 +236,15 @@ class DependencyAnalyzer {
   /// first, then validate `latest` is unchanged; on a lost race the
   /// registration is aborted (net-zero even on a recycled block) and the
   /// pin retries against the new head.
-  Version* pin_latest(CounterStripe& st, TaskNode* task, DataEntry& e);
+  Version* pin_latest(CounterStripe& st, DataEntry& e);
   void* process_read(CounterStripe& st, TaskNode* task, DataEntry& e,
                      std::size_t bytes);
+  /// Publish-first write: CAS the new version onto the chain head, then
+  /// decide its storage (see file comment). `group` is set when `task` is
+  /// the close node of a commuting group being opened.
   void* process_write(CounterStripe& st, unsigned slot, TaskNode* task,
                       DataEntry& e, std::size_t bytes, bool also_reads,
                       AccessGroup* group = nullptr);
-  void* process_write_lockfree(CounterStripe& st, unsigned slot,
-                               TaskNode* task, DataEntry& e, std::size_t bytes,
-                               bool also_reads, AccessGroup* group = nullptr);
   /// Commutative/concurrent access: join the open group at the chain head if
   /// it matches, otherwise open a fresh group (sealing whatever was there).
   void* process_commuting(CounterStripe& st, unsigned slot, TaskNode* task,
@@ -299,12 +259,10 @@ class DependencyAnalyzer {
 
   RenamePool& pool_;
   bool renaming_;
-  bool lockfree_;
   bool track_raw_preds_ = false;
   GraphRecorder* recorder_;
-  unsigned shard_mask_;  // shard count is a power of two
-  unsigned workers_;     ///< sizes per-worker reduction privates (owner_slots)
-  std::unique_ptr<Shard[]> shards_;
+  unsigned workers_;  ///< sizes per-worker reduction privates (owner_slots)
+  std::unique_ptr<std::atomic<DataEntry*>[]> buckets_;  ///< kBuckets chains
   std::unique_ptr<CounterStripe[]> stripes_;
   SlabPool vpool_;  ///< type-stable Version blocks (see dep/version.hpp)
 

@@ -14,11 +14,11 @@
 // is returned to the rename pool. This gives the eager reclamation the paper
 // relies on to keep renamed-memory bounded.
 //
-// Lock-free chain support (SMPSS_DEP_LOCKFREE): versions are allocated from
-// a type-stable SlabPool and their two synchronization counters (refs,
-// pending readers) live in a per-block prefix cell that SURVIVES tenancies —
-// the pool recycles the block but never reinitializes the counters. A reader
-// pins the chain head speculatively (increment first, then validate that the
+// Lock-free chain support: versions are allocated from a type-stable
+// SlabPool and their two synchronization counters (refs, pending readers)
+// live in a per-block prefix cell that SURVIVES tenancies — the pool
+// recycles the block but never reinitializes the counters. A reader pins
+// the chain head speculatively (increment first, then validate that the
 // entry's latest pointer is unchanged); if the version died in between, the
 // increments landed on recycled type-stable memory and the compensating
 // decrements make the excursion net-zero. Two invariants make that safe:
@@ -35,8 +35,8 @@
 // are seq_cst: paired with the seq_cst CAS that publishes a new latest
 // version, this is the Dekker-style guarantee that a writer which swung the
 // chain head sees every reader that validated against the old head — a
-// just-registered reader can never be missed (the in-place-reuse hazard the
-// ISSUE's ordering bugfix covers).
+// just-registered reader can never be missed (an in-place reuse under a
+// live reader would overwrite the bytes it is about to read).
 #pragma once
 
 #include <atomic>
@@ -152,22 +152,22 @@ class Version {
 
   // --- reader registration --------------------------------------------------
 
-  /// Register `reader` as a pending reader: bumps the pending count and
-  /// takes a lifetime ref on this version. The pending-count increment is
-  /// seq_cst — the write half of the Dekker pairing with the retiring
-  /// writer's readers_pending() probe (a relaxed increment here could let an
-  /// in-place-reusing writer miss a just-registered reader). `record_task`
-  /// additionally takes a strong ref on the reader task and records it for
-  /// WAR edges — needed only with renaming disabled, where the recording is
-  /// serialized by the submission lock (the lock-free chain requires
-  /// renaming and never touches the vector).
-  void register_reader(TaskNode* reader, bool record_task) {
+  /// Register a pending reader: bumps the pending count and takes a lifetime
+  /// ref on this version. The pending-count increment is seq_cst — the
+  /// write half of the Dekker pairing with the retiring writer's
+  /// readers_pending() probe (a relaxed increment here could let an
+  /// in-place-reusing writer miss a just-registered reader).
+  void register_reader() noexcept {
     rc().refs.fetch_add(1, std::memory_order_relaxed);
     rc().readers_pending.fetch_add(1, std::memory_order_seq_cst);
-    if (record_task) {
-      reader->add_ref();
-      reader_tasks_.push_back(reader);
-    }
+  }
+
+  /// Record an already-registered reader's task (strong ref) for WAR edges.
+  /// Only the no-renaming ablation needs the list; the Runtime serializes
+  /// that configuration's analysis, so the vector never sees two writers.
+  void record_reader_task(TaskNode* reader) {
+    reader->add_ref();
+    reader_tasks_.push_back(reader);
   }
 
   /// Undo a speculative registration that failed chain-head validation (the
@@ -187,7 +187,7 @@ class Version {
   }
 
   /// Submission-order view of recorded reader tasks (WAR edges in the
-  /// no-renaming configuration; submission-lock serialized).
+  /// no-renaming configuration; see record_reader_task).
   const SmallVector<TaskNode*, 4>& reader_tasks() const noexcept {
     return reader_tasks_;
   }
@@ -200,7 +200,7 @@ class Version {
     release(pool);
   }
 
-  /// Take one additional lifetime reference (spectulative pins go through
+  /// Take one additional lifetime reference (speculative pins go through
   /// register_reader; this is for already-validated holders).
   void add_ref() noexcept { rc().refs.fetch_add(1, std::memory_order_relaxed); }
 
@@ -242,7 +242,7 @@ constexpr std::size_t Version::block_bytes() noexcept {
 }
 
 /// Per-datum bookkeeping (address-mode analysis). Entries live in the
-/// analyzer's lock-free chained hash table (per-shard bucket arrays with
+/// analyzer's lock-free chained hash table (a fixed bucket array with
 /// CAS-insert; see DependencyAnalyzer) and are address-stable for the phase:
 /// versions point back at their entry, and entries are only freed at
 /// flush_all(), which requires quiescence.
@@ -254,8 +254,8 @@ struct DataEntry {
   /// datum — see DependencyAnalyzer::process_write. Maintained with
   /// fetch-max under concurrent writers.
   std::atomic<std::size_t> bytes{0};
-  /// The chain head (owns the latest-token). Swung by CAS on the lock-free
-  /// path; plain release stores under the shard mutex otherwise.
+  /// The chain head (owns the latest-token). Writers swing it by CAS, with
+  /// the new version's storage still unresolved (see Version::storage_wait).
   std::atomic<Version*> latest{nullptr};
 
   /// Count of unfinished accesses whose storage is the *user* buffer.

@@ -42,12 +42,11 @@ std::string RunOptions::describe() const {
   os << "mode=" << to_string(mode) << " shape=" << to_string(shape)
      << (join_steps ? "+join" : "") << " nfields=" << nfields
      << " threads=" << cfg.num_threads << " renaming=" << cfg.renaming
-     << " nested=" << cfg.nested_tasks << " shards=" << cfg.dep_shards
+     << " nested=" << cfg.nested_tasks
      << " chain=" << cfg.chain_depth << " pool=" << cfg.pool_cache
      << " window=" << cfg.task_window
      << " sched=" << to_string(cfg.scheduler_mode)
-     << " policy=" << to_string(cfg.sched_policy)
-     << " lockfree=" << cfg.dep_lockfree;
+     << " policy=" << to_string(cfg.sched_policy);
   if (cfg.procs > 1) os << " procs=" << cfg.procs;
   if (accum != AccumMode::None) os << " accum=" << to_string(accum);
   return os.str();

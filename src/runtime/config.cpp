@@ -15,9 +15,6 @@ Config Config::from_env() {
     c.rename_memory_limit = static_cast<std::size_t>(*v) << 20;
   if (auto v = env_bool("SMPSS_RENAMING")) c.renaming = *v;
   if (auto v = env_bool("SMPSS_NESTED")) c.nested_tasks = *v;
-  if (auto v = env_int("SMPSS_DEP_SHARDS"); v && *v > 0)
-    c.dep_shards = static_cast<unsigned>(*v);
-  if (auto v = env_bool("SMPSS_DEP_LOCKFREE")) c.dep_lockfree = *v;
   if (auto v = env_int("SMPSS_CHAIN_DEPTH"); v && *v >= 0)
     c.chain_depth = static_cast<unsigned>(*v);
   if (auto v = env_int("SMPSS_POOL_CACHE"); v && *v >= 0)
@@ -59,8 +56,6 @@ void Config::normalize() {
   if (task_window < 2) task_window = 2;
   if (task_window_low == 0 || task_window_low >= task_window)
     task_window_low = task_window / 2;
-  if (dep_shards == 0) dep_shards = 64;
-  if (!nested_tasks || !renaming) dep_lockfree = false;
   if (spin_acquires == 0) spin_acquires = 1;
   if (max_streams == 0) max_streams = 1;
   // The promotion threshold must stay above the average (ppm > 1e6) or

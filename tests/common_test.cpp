@@ -3,6 +3,7 @@
 // fork-join thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
@@ -21,6 +22,7 @@
 #include "common/spin.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timing.hpp"
+#include "runtime/config.hpp"
 
 namespace smpss {
 namespace {
@@ -218,6 +220,56 @@ TEST(Env, ParsesIntsAndBools) {
   ::unsetenv("SMPSS_TEST_BOOL1");
   ::unsetenv("SMPSS_TEST_BOOL0");
   ::unsetenv("SMPSS_TEST_JUNK");
+}
+
+/// Value of env_int/env_bool for `value`, plus whatever it printed to stderr.
+template <typename Parse>
+auto parse_with_stderr(const char* value, Parse parse, std::string& err) {
+  ::setenv("SMPSS_TEST_MALFORMED", value, 1);
+  ::testing::internal::CaptureStderr();
+  auto v = parse("SMPSS_TEST_MALFORMED");
+  err = ::testing::internal::GetCapturedStderr();
+  ::unsetenv("SMPSS_TEST_MALFORMED");
+  return v;
+}
+
+TEST(Env, MalformedIntRejectedWholeWithOneDiagnostic) {
+  // Regression: strtoll stopped at the first non-digit, so "3x" parsed as 3.
+  for (const char* bad : {"3x", "abc", " 7 ", "4.5", "99999999999999999999"}) {
+    std::string err;
+    EXPECT_FALSE(parse_with_stderr(bad, env_int, err).has_value()) << bad;
+    EXPECT_NE(err.find("SMPSS_TEST_MALFORMED"), std::string::npos) << err;
+    EXPECT_NE(err.find(bad), std::string::npos) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  }
+  std::string err;
+  EXPECT_EQ(parse_with_stderr("-12", env_int, err).value(), -12);
+  EXPECT_TRUE(err.empty()) << err;
+}
+
+TEST(Env, MalformedBoolRejectedWithOneDiagnostic) {
+  std::string err;
+  EXPECT_FALSE(parse_with_stderr("maybe", env_bool, err).has_value());
+  EXPECT_NE(err.find("SMPSS_TEST_MALFORMED=\"maybe\""), std::string::npos)
+      << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_TRUE(parse_with_stderr("YES", env_bool, err).value());
+  EXPECT_TRUE(err.empty()) << err;
+}
+
+TEST(Env, MalformedConfigValueKeepsDefault) {
+  const Config defaults;
+  ::setenv("SMPSS_NUM_THREADS", "3x", 1);
+  ::setenv("SMPSS_RENAMING", "nope", 1);
+  ::testing::internal::CaptureStderr();
+  const Config c = Config::from_env();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ::unsetenv("SMPSS_NUM_THREADS");
+  ::unsetenv("SMPSS_RENAMING");
+  EXPECT_EQ(c.num_threads, defaults.num_threads);
+  EXPECT_EQ(c.renaming, defaults.renaming);
+  EXPECT_NE(err.find("SMPSS_NUM_THREADS=\"3x\""), std::string::npos) << err;
+  EXPECT_NE(err.find("SMPSS_RENAMING=\"nope\""), std::string::npos) << err;
 }
 
 // --- spin primitives -----------------------------------------------------------------

@@ -95,17 +95,6 @@ TEST(Commutative, NoRenamingAblation) {
   EXPECT_EQ(x, 128);
 }
 
-TEST(Commutative, LockedAnalyzerAblation) {
-  Config c = threads(4);
-  c.dep_lockfree = false;
-  Runtime rt(c);
-  std::int64_t x = 0;
-  for (int i = 0; i < 128; ++i)
-    rt.spawn([](std::int64_t* p) { racy_add(p, 1); }, commutative(&x));
-  rt.barrier();
-  EXPECT_EQ(x, 128);
-}
-
 TEST(Commutative, NestedSubmitters) {
   Config c = threads(4);
   c.nested_tasks = true;
@@ -290,11 +279,6 @@ TEST(PageRank, InoutMatchesSequentialOracle) {
 }
 TEST(PageRank, SingleThreadCommutative) {
   check_pagerank(threads(1), /*use_commutative=*/true);
-}
-TEST(PageRank, LockedAnalyzer) {
-  Config c = threads(4);
-  c.dep_lockfree = false;
-  check_pagerank(c, /*use_commutative=*/true);
 }
 TEST(PageRank, AwarePolicy) {
   Config c = threads(4);

@@ -1,10 +1,10 @@
-// Targeted races for the lock-free version-chain publication path
-// (SMPSS_DEP_LOCKFREE): reader registration racing a retiring writer's
-// in-place-reuse decision, version reclamation under churn far beyond the
-// slab-pool cache (slot recycling while readers still hold pins), and the
-// lockfree_cas_retries stats plumbing. These are primarily TSan targets —
-// the CI thread-sanitizer legs run this suite in both dependency modes —
-// but every test also checks a deterministic final image.
+// Targeted races for the lock-free version-chain publication path: reader
+// registration racing a retiring writer's in-place-reuse decision, version
+// reclamation under churn far beyond the slab-pool cache (slot recycling
+// while readers still hold pins), and the lockfree_cas_retries stats
+// plumbing. These are primarily TSan targets — the CI thread-sanitizer legs
+// run this suite with nested submitters — but every test also checks a
+// deterministic final image.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,11 +18,10 @@
 namespace smpss {
 namespace {
 
-Config nested_config(bool lockfree) {
+Config nested_config() {
   Config cfg;
   cfg.num_threads = 8;
   cfg.nested_tasks = true;
-  cfg.dep_lockfree = lockfree;
   return cfg;
 }
 
@@ -36,10 +35,8 @@ Config nested_config(bool lockfree) {
 // the writer's published version (and re-pins). A miss shows up two ways:
 // TSan flags the storage write racing the read, and the seq/mirror
 // invariant below breaks (the reader observes a half-applied update).
-class LockfreeChain : public ::testing::TestWithParam<bool> {};
-
-TEST_P(LockfreeChain, ReaderRegistrationRacesRetiringWriter) {
-  Config cfg = nested_config(GetParam());
+TEST(LockfreeChain, ReaderRegistrationRacesRetiringWriter) {
+  Config cfg = nested_config();
   Runtime rt(cfg);
   struct Cell {
     long seq;
@@ -81,8 +78,8 @@ TEST_P(LockfreeChain, ReaderRegistrationRacesRetiringWriter) {
 // reference cell inconsistently) corrupts a lane total or trips the
 // debug-build refcount asserts; under TSan the use-after-free is flagged
 // directly.
-TEST_P(LockfreeChain, ReclamationHammerUnderSlotRecycling) {
-  Config cfg = nested_config(GetParam());
+TEST(LockfreeChain, ReclamationHammerUnderSlotRecycling) {
+  Config cfg = nested_config();
   cfg.pool_cache = 2;  // tiny per-slot caches: recycling from round one
   Runtime rt(cfg);
   constexpr int kLanes = 8, kRounds = 400;
@@ -110,33 +107,42 @@ TEST_P(LockfreeChain, ReclamationHammerUnderSlotRecycling) {
   for (long v : lanes) ASSERT_EQ(v, kRounds);
 }
 
-INSTANTIATE_TEST_SUITE_P(DepModes, LockfreeChain, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "lockfree" : "locked";
-                         });
-
-TEST(LockfreeStats, CasRetryCounterPlumbedAndZeroWhenLocked) {
+TEST(LockfreeStats, CasRetryCounterPlumbed) {
   // The retry counter is a striped sum: it must survive the snapshot path
-  // and the JSON exporter, and the locked fallback must never count (no CAS
-  // loop runs there). Retries in lock-free mode are scheduling-dependent,
-  // so only non-negativity/plumbing is asserted on that side.
-  for (const bool lockfree : {true, false}) {
-    Config cfg = nested_config(lockfree);
-    cfg.num_threads = 4;
-    Runtime rt(cfg);
-    long shared = 0;
-    for (int g = 0; g < 4; ++g)
-      rt.spawn([&rt, &shared] {
-        for (int i = 0; i < 200; ++i)
-          rt.spawn([](long* p) { *p += 1; }, inout(&shared));
-      });
-    rt.barrier();
-    EXPECT_EQ(shared, 800);
-    const StatsSnapshot s = rt.stats();
-    if (!lockfree) EXPECT_EQ(s.lockfree_cas_retries, 0u);
-    const std::string json = rt.stats_json();
-    EXPECT_NE(json.find("\"lockfree_cas_retries\":"), std::string::npos);
+  // and the JSON exporter. Retries under concurrent submitters are
+  // scheduling-dependent, so only the plumbing is asserted here.
+  Config cfg = nested_config();
+  cfg.num_threads = 4;
+  Runtime rt(cfg);
+  long shared = 0;
+  for (int g = 0; g < 4; ++g)
+    rt.spawn([&rt, &shared] {
+      for (int i = 0; i < 200; ++i)
+        rt.spawn([](long* p) { *p += 1; }, inout(&shared));
+    });
+  rt.barrier();
+  EXPECT_EQ(shared, 800);
+  const std::string json = rt.stats_json();
+  EXPECT_NE(json.find("\"lockfree_cas_retries\":"), std::string::npos);
+}
+
+TEST(LockfreeStats, SingleSubmitterNeverRetries) {
+  // With one submitter nobody else ever swings a chain head, so neither the
+  // writers' publication CAS nor the readers' pin validation (nor the
+  // wait_on pin) can lose a race: the counter must stay exactly zero.
+  Config cfg;
+  cfg.num_threads = 4;
+  Runtime rt(cfg);
+  long a = 0, b = 0;
+  for (int i = 0; i < 300; ++i) {
+    rt.spawn([](long* p) { *p += 1; }, inout(&a));
+    rt.spawn([](const long* p, long* q) { *q = *p; }, in(&a), out(&b));
+    if (i % 100 == 0) rt.wait_on(&b);
   }
+  rt.barrier();
+  EXPECT_EQ(a, 300);
+  EXPECT_EQ(b, 300);
+  EXPECT_EQ(rt.stats().lockfree_cas_retries, 0u);
 }
 
 }  // namespace

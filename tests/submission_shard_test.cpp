@@ -1,7 +1,6 @@
-// The address-striped submission pipeline: concurrent submitters against
-// shared and private data across shard counts (including the shards=1
-// global-lock-equivalent baseline), the foreign-thread blocking conditions,
-// destruction off the constructing thread, and stats() racing submitters.
+// The concurrent submission pipeline: concurrent submitters against shared
+// and private data, the foreign-thread blocking conditions, destruction off
+// the constructing thread, and stats() racing submitters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,16 +13,12 @@
 namespace smpss {
 namespace {
 
-class ShardSweep : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(ShardSweep, ConcurrentSubmittersSharedAndPrivateData) {
-  // Parents submit concurrently: private chains (disjoint shards) plus a
-  // shared fan-in datum every parent contends on. Two-phase shard locking
-  // must give the same results at every shard count.
+TEST(ShardSweep, ConcurrentSubmittersSharedAndPrivateData) {
+  // Parents submit concurrently: private chains plus a shared fan-in datum
+  // every parent contends on at its chain head.
   Config cfg;
   cfg.num_threads = 8;
   cfg.nested_tasks = true;
-  cfg.dep_shards = GetParam();
   Runtime rt(cfg);
   constexpr int kParents = 12, kSteps = 60;
   std::vector<long> lanes(kParents, 0);
@@ -45,15 +40,14 @@ TEST_P(ShardSweep, ConcurrentSubmittersSharedAndPrivateData) {
   EXPECT_GE(rt.stats().raw_edges, static_cast<std::uint64_t>(kParents));
 }
 
-TEST_P(ShardSweep, MultiParamTasksAcrossShardsStayAcyclic) {
-  // Tasks whose footprints span several data (several shards) submitted
-  // from many threads at once: if two-phase acquisition were broken, the
-  // cross-shard edge wiring could deadlock or corrupt a chain. The diamond
-  // pattern (two inputs, one output per task) maximizes cross-datum edges.
+TEST(ShardSweep, MultiParamTasksAcrossShardsStayAcyclic) {
+  // Tasks whose footprints span several data submitted from many threads
+  // at once: if per-datum chain-head ordering were broken, the cross-datum
+  // edge wiring could deadlock or corrupt a chain. The diamond pattern (two
+  // inputs, one output per task) maximizes cross-datum edges.
   Config cfg;
   cfg.num_threads = 8;
   cfg.nested_tasks = true;
-  cfg.dep_shards = GetParam();
   Runtime rt(cfg);
   // Unsigned lanes: the values triple per round, so 40 rounds deliberately
   // wrap — defined for unsigned, and the oracle wraps identically (the new
@@ -89,9 +83,6 @@ TEST_P(ShardSweep, MultiParamTasksAcrossShardsStayAcyclic) {
     ASSERT_EQ(c[p], xc);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardSweep,
-                         ::testing::Values(1u, 2u, 8u, 64u));
 
 TEST(ForeignSubmitter, WindowThrottlesForeignThread) {
   // Regression: a foreign thread (not a worker, not the constructing
@@ -285,30 +276,26 @@ TEST(ConcurrentIntrospection, WaitOnDuringDrainNeverUnderflowsPending) {
   // (and let a wait_on read a half-retired version). The retire path now
   // asserts the pre-decrement value is positive; this interleaving —
   // wait_on hammering a datum whose generator is mid-drain — is the one
-  // that tripped the old ordering. Run it in both dependency modes.
-  for (const bool lockfree : {true, false}) {
-    Config cfg;
-    cfg.num_threads = 4;
-    cfg.nested_tasks = true;
-    cfg.dep_lockfree = lockfree;
-    Runtime rt(cfg);
-    constexpr int kRounds = 40, kWrites = 25;
-    long x = 0;
-    for (int r = 0; r < kRounds; ++r) {
-      rt.spawn([&rt, &x] {
-        for (int i = 0; i < kWrites; ++i)
-          rt.spawn([](long* p) { *p += 1; }, inout(&x));
-      });
-      // Races the generator's still-submitting chain. The copied-back value
-      // is some produced prefix; it cannot be read here without racing a
-      // later in-place producer, so the checked outcome is the final total
-      // (plus the debug underflow assert and TSan on the pending counter).
-      rt.wait_on(&x);
-    }
-    rt.barrier();
-    ASSERT_EQ(x, static_cast<long>(kRounds) * kWrites)
-        << "lockfree=" << lockfree;
+  // that tripped the old ordering.
+  Config cfg;
+  cfg.num_threads = 4;
+  cfg.nested_tasks = true;
+  Runtime rt(cfg);
+  constexpr int kRounds = 40, kWrites = 25;
+  long x = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    rt.spawn([&rt, &x] {
+      for (int i = 0; i < kWrites; ++i)
+        rt.spawn([](long* p) { *p += 1; }, inout(&x));
+    });
+    // Races the generator's still-submitting chain. The copied-back value
+    // is some produced prefix; it cannot be read here without racing a
+    // later in-place producer, so the checked outcome is the final total
+    // (plus the debug underflow assert and TSan on the pending counter).
+    rt.wait_on(&x);
   }
+  rt.barrier();
+  ASSERT_EQ(x, static_cast<long>(kRounds) * kWrites);
 }
 
 TEST(ConcurrentIntrospection, SnapshotNeverShowsExecutedAboveSpawned) {

@@ -20,7 +20,9 @@ Usage:
     bench_compare.py --baseline DIR --current DIR [--threshold 0.20]
 
 A missing baseline directory or file is not a failure — the first run on a
-fresh cache seeds the baseline instead of gating against nothing.
+fresh cache seeds the baseline instead of gating against nothing. Baseline
+rows the current run no longer produces (a deleted or renamed benchmark)
+are listed as ``removed``: visible in the table, never failing the gate.
 """
 
 import argparse
@@ -101,10 +103,16 @@ def main():
              "|---|---|---|---|---|"]
     regressions = []
     compared = 0
-    for cur_path in current_files:
-        fname = os.path.basename(cur_path)
+    removed = 0
+    # Baseline files the current run did not produce at all contribute
+    # their rows as removed, like rows missing from a shared file.
+    fnames = sorted({os.path.basename(p) for p in current_files} |
+                    {os.path.basename(p) for p in glob.glob(
+                        os.path.join(args.baseline, "BENCH_*.json"))})
+    for fname in fnames:
+        cur_path = os.path.join(args.current, fname)
         base_path = os.path.join(args.baseline, fname)
-        current = load_medians(cur_path)
+        current = load_medians(cur_path) if os.path.exists(cur_path) else {}
         baseline = load_medians(base_path) if os.path.exists(base_path) else {}
         for name, (cur, higher) in sorted(current.items()):
             entry = baseline.get(name)
@@ -129,6 +137,10 @@ def main():
                 verdict = "improved"
             lines.append(f"| `{name}` | {fmt(base)} | {fmt(cur)} | "
                          f"{change * 100:+.1f}% | {verdict} |")
+        for name in sorted(set(baseline) - set(current)):
+            removed += 1
+            lines.append(f"| `{name}` | {fmt(baseline[name][0])} | — | — | "
+                         f"removed |")
 
     title = "## Bench trajectory vs. main baseline"
     if compared == 0:
@@ -145,8 +157,9 @@ def main():
         print(f"FAIL: median throughput regressed beyond "
               f"{args.threshold * 100:.0f}%: {worst}", file=sys.stderr)
         return 1
+    note = f", {removed} removed" if removed else ""
     print("bench-compare: gate passed "
-          f"({compared} benchmark(s) compared against the baseline)")
+          f"({compared} benchmark(s) compared against the baseline{note})")
     return 0
 
 

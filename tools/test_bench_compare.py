@@ -4,7 +4,9 @@
 Covers the regression gate's edge cases around the baseline: a missing
 baseline directory seeds instead of failing, a zero or missing baseline
 median (the ``::p99_ns`` hazard) reports "new benchmark" instead of
-crashing the gate, and genuine throughput/tail regressions still fail.
+crashing the gate, baseline rows the current run no longer produces are
+reported as "removed" without failing, and genuine throughput/tail
+regressions still fail.
 """
 
 import contextlib
@@ -82,6 +84,23 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertIn("| `BM_B/1` | — |", out)
         self.assertIn("| new |", out)
+
+    def test_baseline_row_absent_from_current_reports_removed(self):
+        # A deleted benchmark used to vanish from the table silently.
+        write_bench(self.base, "BENCH_x.json", [
+            bench_row("BM_A/1", tasks_per_s=100.0),
+            bench_row("BM_Gone/1", tasks_per_s=70.0),
+        ])
+        write_bench(self.base, "BENCH_old.json", [
+            bench_row("BM_Old/1", tasks_per_s=30.0)])
+        write_bench(self.cur, "BENCH_x.json", [bench_row("BM_A/1",
+                                                         tasks_per_s=100.0)])
+        code, out = run_gate(self.base, self.cur)
+        self.assertEqual(code, 0)
+        self.assertIn("| `BM_Gone/1` | 70.00 | — | — | removed |", out)
+        self.assertIn("| `BM_Old/1` | 30.00 | — | — | removed |", out)
+        self.assertIn("gate passed (1 benchmark(s) compared against the "
+                      "baseline, 2 removed)", out)
 
     def test_zero_baseline_median_reports_new_not_crash(self):
         # A baseline recorded before the counter existed: tasks_per_s == 0.
