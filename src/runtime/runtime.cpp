@@ -339,12 +339,12 @@ void Runtime::submit(TaskNode* t) {
     return;
   }
   if (tasks_live_.load(std::memory_order_relaxed) >= cfg_.task_window) {
-    ++blocked_window_;
+    blocked_window_.fetch_add(1, std::memory_order_relaxed);
     while (tasks_live_.load(std::memory_order_acquire) > cfg_.task_window_low)
       help_once();
   }
   if (pool_.over_limit()) {
-    ++blocked_memory_;
+    blocked_memory_.fetch_add(1, std::memory_order_relaxed);
     while (pool_.over_limit() &&
            tasks_live_.load(std::memory_order_acquire) > 0)
       help_once();
@@ -769,7 +769,7 @@ void Runtime::barrier() {
   if (dep_.has_pending_closes()) drain_group_closes();
   dep_.flush_all();
   regions_.flush_all();
-  ++barriers_;
+  barriers_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Runtime::wait_on_addr(const void* addr) {
@@ -945,9 +945,9 @@ StatsSnapshot Runtime::stats() const {
     s.nested_throttled = nested_throttled_.load(std::memory_order_relaxed);
     s.foreign_throttled = foreign_throttled_.load(std::memory_order_relaxed);
     s.ready_at_creation = ready_at_creation_.load(std::memory_order_relaxed);
-    s.barriers = barriers_;
-    s.main_blocked_on_window = blocked_window_;
-    s.main_blocked_on_memory = blocked_memory_;
+    s.barriers = barriers_.load(std::memory_order_relaxed);
+    s.main_blocked_on_window = blocked_window_.load(std::memory_order_relaxed);
+    s.main_blocked_on_memory = blocked_memory_.load(std::memory_order_relaxed);
     s.tasks_spawned = spawned_.load(std::memory_order_seq_cst);
     s.snapshot_epoch = s.tasks_spawned;
     s.snapshot_consistent = s.tasks_spawned == epoch0;

@@ -493,10 +493,11 @@ class Runtime {
   std::atomic<std::uint64_t> foreign_throttled_{0};
   std::atomic<std::uint64_t> ready_at_creation_{0};
 
-  // main-thread-only counters
-  std::uint64_t barriers_ = 0;
-  std::uint64_t blocked_window_ = 0;
-  std::uint64_t blocked_memory_ = 0;
+  // written by the main thread only; atomics so that stats() may read them
+  // from any thread, a task body included
+  std::atomic<std::uint64_t> barriers_{0};
+  std::atomic<std::uint64_t> blocked_window_{0};
+  std::atomic<std::uint64_t> blocked_memory_{0};
 
   // --- service mode ----------------------------------------------------------
 

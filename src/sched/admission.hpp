@@ -61,9 +61,12 @@ class AdmissionControl {
     ++t.waiting;
     waiters_.fetch_add(1, std::memory_order_seq_cst);
     for (;;) {
-      skip_idle_heads();
-      if (head() == &t) {
+      if (first_waiting() == &t) {
         const AdmitProbe p = probe();
+        // Heads with no thread inside admit() lose their turn only once
+        // the turn is used: on a full service they keep it (see
+        // first_waiting()).
+        if (p != AdmitProbe::GlobalFull) skip_idle_heads();
         if (p == AdmitProbe::Taken) {
           if (--t.deficit <= 0) rotate();
           break;
@@ -133,8 +136,21 @@ class AdmissionControl {
   }
 
   /// Tickets stay in the ring between admissions (their deficit is their
-  /// standing), so the head may have no waiting thread; pass the turn along
-  /// until it lands on someone who wants it.
+  /// standing), so the head may have no waiting thread; the first ticket
+  /// from the head on that has one probes in its place. The idle heads are
+  /// not skipped on a GlobalFull probe: a client between two admissions (one
+  /// grant just returned, its next call not yet in) would otherwise lose the
+  /// rest of its deficit to whichever waiter a notify or timeout happened to
+  /// wake in that gap, so a weight-w stream rarely got w grants in a row.
+  AdmissionTicket* first_waiting() const noexcept {
+    for (std::size_t n = 0; n < ring_.size(); ++n) {
+      AdmissionTicket* h = ring_[(head_ + n) % ring_.size()];
+      if (h->waiting > 0) return h;
+    }
+    return nullptr;
+  }
+
+  /// Pass the turn along until it lands on first_waiting().
   void skip_idle_heads() noexcept {
     for (std::size_t n = 0; n < ring_.size(); ++n) {
       AdmissionTicket* h = head();

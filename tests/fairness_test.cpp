@@ -28,10 +28,12 @@ TEST(AdmissionFairness, WeightedDeficitRoundRobinDeterministic) {
   tb.weight = 1;
   constexpr int kA = 40, kB = 20;  // 2:1, so both finish together
   std::atomic<int> tokens{0};
+  std::atomic<int> returned_a{0}, returned_b{0};
   std::mutex order_mu;
   std::vector<char> order;
   auto client = [&](AdmissionTicket& t, char id, int n) {
-    for (int i = 0; i < n; ++i)
+    std::atomic<int>& returned = id == 'a' ? returned_a : returned_b;
+    for (int i = 0; i < n; ++i) {
       adm.admit(t, [&]() -> AdmitProbe {
         // Only the ring head probes (under the admission mutex), so the
         // token take needs no CAS. Record the grant BEFORE decrementing:
@@ -45,19 +47,26 @@ TEST(AdmissionFairness, WeightedDeficitRoundRobinDeterministic) {
         tokens.fetch_sub(1);
         return AdmitProbe::Taken;
       });
+      returned.fetch_add(1);
+    }
   };
   std::thread a(client, std::ref(ta), 'a', kA);
   std::thread b(client, std::ref(tb), 'b', kB);
   for (int granted = 0; granted < kA + kB; ++granted) {
     // Wait until every still-running client is blocked in admit() before
     // releasing the next slot, so the head choice is never a timing race.
+    // The last grantee counts as a waiter until it leaves admit(), and a
+    // head ticket with no thread inside admit() loses its turn; so first
+    // wait for every grantee to have returned, then for the re-entries.
     std::uint32_t expect_waiters = 0;
+    int na = 0, nb = 0;
     {
       std::lock_guard<std::mutex> lk(order_mu);
-      int na = 0, nb = 0;
       for (char c : order) (c == 'a' ? na : nb)++;
       expect_waiters = (na < kA ? 1u : 0u) + (nb < kB ? 1u : 0u);
     }
+    while (returned_a.load() < na || returned_b.load() < nb)
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
     while (adm.waiters() < expect_waiters)
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     tokens.fetch_add(1);
@@ -129,6 +138,21 @@ TEST(AdmissionFairness, TrickleStreamNotStarvedByGreedy) {
   std::atomic<bool> stop{false};
   long g_cell = 0, t_cell = 0;
   std::thread g([&] {
+    // The chain's head holds every later greedy task back until the stream
+    // has queued, so the greedy client saturates the window whatever the
+    // workers' speed. A regression that never queues times out here and
+    // fails the throttled check below instead of hanging.
+    auto* gs = greedy.state();
+    greedy.post(
+        [gs](long* c) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (gs->throttled.load() == 0 &&
+                 std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+          *c += 1;
+        },
+        inout(&g_cell));
     while (!stop.load(std::memory_order_relaxed))
       greedy.post([](long* c) { *c += 1; }, inout(&g_cell));
     greedy.drain();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -98,7 +99,20 @@ TEST(ForeignSubmitter, WindowThrottlesForeignThread) {
   constexpr int kTasks = 3000;
   long x = 0;
   std::atomic<bool> done{false};
+  // The chain's head task holds every later task back until the gate has
+  // fired, so the live count reaches the window whatever the workers'
+  // speed. A regression that never throttles times out here and fails the
+  // throttle assertion below instead of hanging.
+  std::atomic<bool> opened{false};
   std::thread foreign([&] {
+    rt.spawn(
+        [&opened](long*) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!opened.load() && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        },
+        inout(&x));
     for (int i = 0; i < kTasks; ++i)
       rt.spawn([](long* p) { *p += 1; }, inout(&x));
     done.store(true, std::memory_order_release);
@@ -107,8 +121,11 @@ TEST(ForeignSubmitter, WindowThrottlesForeignThread) {
   std::size_t max_live = 0;
   while (!done.load(std::memory_order_acquire)) {
     max_live = std::max(max_live, rt.live_tasks());
+    if (!opened.load() && rt.stats().foreign_throttled >= 1)
+      opened.store(true);
     std::this_thread::yield();
   }
+  opened.store(true);
   foreign.join();
   rt.barrier();
   EXPECT_EQ(x, kTasks);

@@ -3,6 +3,9 @@
 // changing program results.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "runtime/runtime.hpp"
@@ -18,8 +21,25 @@ TEST(TaskWindow, MainThreadExecutesWhenWindowFull) {
   Runtime rt(cfg);
   constexpr int kN = 500;
   std::vector<int> xs(kN, 0);
+  // Every task also reads `gate`, so none is ready while the gate task runs
+  // on the worker: the window fills whatever the worker's speed, instead of
+  // racing it. The gate opens once the main thread has blocked, or at once
+  // if the main thread itself runs it from inside the blocking condition.
+  int gate = 0;
+  const std::thread::id main_id = std::this_thread::get_id();
+  rt.spawn(
+      [&rt, main_id](int* g) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (std::this_thread::get_id() != main_id &&
+               rt.stats().main_blocked_on_window == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+          std::this_thread::yield();
+        *g = 1;
+      },
+      inout(&gate));
   for (int i = 0; i < kN; ++i)
-    rt.spawn([](int* p) { *p = 1; }, out(&xs[i]));
+    rt.spawn([](const int* g, int* p) { *p = *g; }, in(&gate), out(&xs[i]));
   rt.barrier();
   for (int v : xs) EXPECT_EQ(v, 1);
   auto s = rt.stats();
@@ -41,9 +61,33 @@ TEST(TaskWindow, NestedSubmittersThrottleBestEffort) {
   constexpr int kN = 2000;
   std::vector<int> xs(kN, 0);
   int* data = xs.data();
-  rt.spawn([&rt, data] {
-    for (int i = 0; i < kN; ++i)
-      rt.spawn([](int* p) { *p = 1; }, out(data + i));
+  // Every child also reads `gate`, so none is ready while the gate task
+  // runs: the live count climbs past the window whatever the workers'
+  // speed, instead of racing them. The gate opens once the generator has
+  // returned from more spawns than the window holds — or at once when the
+  // generator itself runs it from inside the throttle's drain.
+  int gate = 0;
+  std::atomic<unsigned> returned{0};
+  std::atomic<std::thread::id> generator{};
+  const unsigned window = cfg.task_window;
+  rt.spawn([&rt, &gate, &returned, &generator, window, data] {
+    generator.store(std::this_thread::get_id());
+    rt.spawn(
+        [&returned, &generator, window](int* g) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (generator.load() != std::this_thread::get_id() &&
+                 returned.load() < window &&
+                 std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+          *g = 1;
+        },
+        inout(&gate));
+    for (int i = 0; i < kN; ++i) {
+      rt.spawn([](const int* g, int* p) { *p = *g; }, in(&gate),
+               out(data + i));
+      returned.fetch_add(1);
+    }
     rt.taskwait();
   });
   rt.barrier();
