@@ -32,7 +32,7 @@
 // The one exception is the no-renaming ablation: its WAR edges come from
 // per-version reader task lists, which are plain vectors. With concurrent
 // submitters the Runtime therefore serializes each task's whole analysis on
-// one mutex (Runtime::analyze_accesses); a single submitter needs nothing.
+// one mutex (Runtime::analyze); a single submitter needs nothing.
 //
 // Counters are striped by submitting thread (no shared hot line) and summed
 // on snapshot.

@@ -24,7 +24,7 @@ void RegionAnalyzer::add_edge(TaskNode* pred, TaskNode* succ, EdgeKind kind) {
 
 void* RegionAnalyzer::process(TaskNode* task, const AccessDesc& access) {
   SMPSS_ASSERT(access.has_region);
-  // Belt-and-braces: Runtime::route_access diagnoses this with a proper
+  // Belt-and-braces: Runtime::analyze diagnoses this with a proper
   // message before dispatching here; commuting modes never reach regions.
   SMPSS_CHECK(!is_commuting(access.dir),
               "commutative/concurrent access modes are address-mode only");

@@ -1,9 +1,28 @@
 #include "runtime/config.hpp"
 
+#include <algorithm>
+#include <string_view>
+
 #include "common/affinity.hpp"
 #include "common/env.hpp"
 
 namespace smpss {
+
+namespace {
+
+/// Every SMPSS_* variable from_env reads, and the settings retired since.
+constexpr std::string_view kSettings[] = {
+    "SMPSS_NUM_THREADS", "SMPSS_TASK_WINDOW",   "SMPSS_RENAME_MEMORY_MB",
+    "SMPSS_RENAMING",    "SMPSS_NESTED",        "SMPSS_CHAIN_DEPTH",
+    "SMPSS_POOL_CACHE",  "SMPSS_SCHEDULER",     "SMPSS_STEAL_ORDER",
+    "SMPSS_SCHED_POLICY", "SMPSS_PIN_THREADS",  "SMPSS_TRACE",
+    "SMPSS_RECORD_GRAPH", "SMPSS_STREAMS",      "SMPSS_STATS_PERIOD_MS",
+    "SMPSS_STATS_FILE",  "SMPSS_PROCS"};
+constexpr std::string_view kRetired[] = {
+    "SMPSS_DEP_LOCKFREE", "SMPSS_DEP_SHARDS", "SMPSS_AWARE_CRIT_PPM",
+    "SMPSS_AWARE_LOCALITY_PPM", "SMPSS_AWARE_COST_NS"};
+
+}  // namespace
 
 Config Config::from_env() {
   Config c;
@@ -19,24 +38,13 @@ Config Config::from_env() {
     c.chain_depth = static_cast<unsigned>(*v);
   if (auto v = env_int("SMPSS_POOL_CACHE"); v && *v >= 0)
     c.pool_cache = static_cast<unsigned>(*v);
-  if (auto v = env_string("SMPSS_SCHEDULER")) {
-    if (*v == "centralized") c.scheduler_mode = SchedulerMode::Centralized;
-    if (*v == "distributed") c.scheduler_mode = SchedulerMode::Distributed;
-  }
-  if (auto v = env_string("SMPSS_STEAL_ORDER")) {
-    if (*v == "random") c.steal_order = StealOrder::Random;
-    if (*v == "creation") c.steal_order = StealOrder::CreationOrder;
-  }
-  if (auto v = env_string("SMPSS_SCHED_POLICY")) {
-    if (*v == "aware") c.sched_policy = SchedPolicyKind::Aware;
-    if (*v == "paper") c.sched_policy = SchedPolicyKind::Paper;
-  }
-  if (auto v = env_int("SMPSS_AWARE_CRIT_PPM"); v && *v > 0)
-    c.aware_crit_ppm = static_cast<std::uint32_t>(*v);
-  if (auto v = env_int("SMPSS_AWARE_LOCALITY_PPM"); v && *v > 0)
-    c.aware_locality_ppm = static_cast<std::uint32_t>(*v);
-  if (auto v = env_int("SMPSS_AWARE_COST_NS"); v && *v > 0)
-    c.aware_cost_ns = static_cast<std::uint64_t>(*v);
+  if (auto v = env_choice("SMPSS_SCHEDULER", {"distributed", "centralized"}))
+    c.scheduler_mode =
+        *v == 0 ? SchedulerMode::Distributed : SchedulerMode::Centralized;
+  if (auto v = env_choice("SMPSS_STEAL_ORDER", {"creation", "random"}))
+    c.steal_order = *v == 0 ? StealOrder::CreationOrder : StealOrder::Random;
+  if (auto v = env_choice("SMPSS_SCHED_POLICY", {"paper", "aware"}))
+    c.sched_policy = *v == 0 ? SchedPolicyKind::Paper : SchedPolicyKind::Aware;
   if (auto v = env_bool("SMPSS_PIN_THREADS")) c.pin_threads = *v;
   if (auto v = env_bool("SMPSS_TRACE")) c.tracing = *v;
   if (auto v = env_bool("SMPSS_RECORD_GRAPH")) c.record_graph = *v;
@@ -47,6 +55,18 @@ Config Config::from_env() {
   if (auto v = env_string("SMPSS_STATS_FILE")) c.stats_path = *v;
   if (auto v = env_int("SMPSS_PROCS"); v && *v > 0)
     c.procs = static_cast<unsigned>(*v);
+  // One line per set SMPSS_* name that configures nothing, so a misspelled
+  // or retired setting is never silently ignored. The tests' and benches'
+  // own variables are legal.
+  for (const auto& [name, value] : env_with_prefix("SMPSS_")) {
+    if (std::ranges::count(kSettings, name) != 0 ||
+        name.starts_with("SMPSS_TEST_") || name.starts_with("SMPSS_FUZZ_") ||
+        name == "SMPSS_BENCH_SCALE")
+      continue;
+    env_reject(name.c_str(), value,
+               std::ranges::count(kRetired, name) != 0 ? "retired setting"
+                                                        : "unknown setting");
+  }
   return c;
 }
 
@@ -58,11 +78,6 @@ void Config::normalize() {
     task_window_low = task_window / 2;
   if (spin_acquires == 0) spin_acquires = 1;
   if (max_streams == 0) max_streams = 1;
-  // The promotion threshold must stay above the average (ppm > 1e6) or
-  // every ready task would "exceed" it and the high list would swallow the
-  // whole graph; cost estimates of 0 would zero all priorities.
-  if (aware_crit_ppm <= 1000000) aware_crit_ppm = 1000001;
-  if (aware_cost_ns == 0) aware_cost_ns = 1;
   if (procs < 1) procs = 1;
   if (procs > 16) procs = 16;
 }

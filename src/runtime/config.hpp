@@ -13,9 +13,6 @@
 //   SMPSS_SCHEDULER         distributed | centralized
 //   SMPSS_STEAL_ORDER       creation | random
 //   SMPSS_SCHED_POLICY      paper | aware (see sched/policy.hpp)
-//   SMPSS_AWARE_CRIT_PPM    aware: high-list promotion threshold vs average
-//   SMPSS_AWARE_LOCALITY_PPM aware: input share needed to prefer a worker
-//   SMPSS_AWARE_COST_NS     aware: assumed cost of a never-run task type
 //   SMPSS_PIN_THREADS       0/1
 //   SMPSS_TRACE             0/1 — record per-task timing events
 //   SMPSS_RECORD_GRAPH      0/1 — record nodes/edges for DOT export
@@ -25,8 +22,11 @@
 //   SMPSS_PROCS             worker processes for the pattern drivers'
 //                           multi-process backend (1 = single-process)
 //
-// A malformed value (SMPSS_NUM_THREADS=3x, SMPSS_RENAMING=maybe) is
-// rejected whole with one stderr line naming it; the default stays.
+// A malformed value (SMPSS_NUM_THREADS=3x, SMPSS_RENAMING=maybe,
+// SMPSS_SCHED_POLICY=awre) is rejected whole with one stderr line naming it;
+// the default stays. A set SMPSS_* name that is no setting (misspelled, or
+// retired like SMPSS_DEP_LOCKFREE) gets one such line too; the test and
+// bench variables (SMPSS_TEST_*, SMPSS_FUZZ_*, SMPSS_BENCH_SCALE) are legal.
 #pragma once
 
 #include <cstddef>
@@ -95,14 +95,6 @@ struct Config {
   /// verbatim; Aware layers cost-EWMA feedback, critical-path promotion,
   /// locality placement, and topology-near stealing on the same skeleton.
   SchedPolicyKind sched_policy = SchedPolicyKind::Paper;
-  /// Aware: a ready task is promoted to the high-priority list when its
-  /// critical-path priority exceeds the running average times this / 1e6.
-  std::uint32_t aware_crit_ppm = 1500000;
-  /// Aware: minimum share (ppm) of a task's input versions one worker must
-  /// have produced before placement prefers that worker's queue.
-  std::uint32_t aware_locality_ppm = 500000;
-  /// Aware: assumed cost (ns) of a task type the cost table has never seen.
-  std::uint64_t aware_cost_ns = 1000;
 
   /// The scheduler-policy slice of this Config (sched/ stays independent of
   /// runtime/ headers). Call after normalize().
@@ -113,9 +105,6 @@ struct Config {
     tu.steal_order = steal_order;
     tu.nested_tasks = nested_tasks;
     tu.kind = sched_policy;
-    tu.crit_ppm = aware_crit_ppm;
-    tu.locality_ppm = aware_locality_ppm;
-    tu.default_cost_ns = aware_cost_ns;
     return tu;
   }
 

@@ -139,39 +139,6 @@ TaskType Runtime::find_task_type(const char* name) const noexcept {
   return TaskType{0};
 }
 
-void* Runtime::route_access(TaskNode* t, const AccessDesc& d,
-                            bool check_region_table) {
-  SMPSS_CHECK(d.addr != nullptr, "null pointer passed as task parameter");
-  if (is_commuting(d.dir)) {
-    // Diagnose invalid mode combinations at spawn time, before any tracking
-    // state is touched — the misuse surfaces at the offending spawn, not as
-    // a corrupted graph later.
-    SMPSS_CHECK(!d.has_region,
-                "commutative/concurrent access modes are address-mode only "
-                "(region-qualified parameters cannot commute)");
-    if (d.dir == Dir::Concurrent) {
-      SMPSS_CHECK(cfg_.renaming,
-                  "reduction (concurrent) parameters require renaming "
-                  "(SMPSS_RENAMING=1) — privatization is built on it");
-      SMPSS_CHECK(d.op.valid(),
-                  "reduction parameter without a reduction operator");
-    }
-  }
-  if (d.has_region) {
-    SMPSS_CHECK(!dep_.tracks(d.addr),
-                "array accessed both with and without region specifiers");
-    return regions_.process(t, d);
-  }
-  // `check_region_table` is false only on the concurrent path when the
-  // region table was empty at lock-decision time (the region rwlock is then
-  // not held, so the table must not be read — and an empty table cannot
-  // conflict with this address anyway).
-  SMPSS_CHECK(!check_region_table || !regions_.tracks(d.addr),
-              "array accessed both with and without region specifiers");
-  SMPSS_CHECK(d.bytes > 0, "task parameter with zero size");
-  return dep_.process(t, d);
-}
-
 void Runtime::begin_submission(TaskNode* t) {
   if (cfg_.nested_tasks) {
     // Parent hookup only when the enclosing task belongs to *this* runtime:
@@ -194,35 +161,51 @@ void Runtime::begin_submission(TaskNode* t) {
   recorder_.record_node(t->seq, t->type_id);
 }
 
-void Runtime::analyze_accesses(TaskNode* t, const AccessDesc* descs,
-                               std::size_t n) {
-  // Per-datum consistency comes from CAS publication on each chain head
-  // (see dep/dependency_analyzer.hpp), so no dependency lock is taken —
-  // except in the no-renaming ablation, whose per-version reader task lists
-  // (the WAR edges) are plain vectors: there each task's whole analysis
-  // runs under one mutex, ordered before the region rwlock.
+void Runtime::analyze(TaskNode* t, const AccessDesc* descs, std::size_t n,
+                      bool any_region) {
+  if (n == 0) return;
+  // The no-renaming ablation's per-version reader task lists (the WAR
+  // edges) are plain vectors: concurrent submitters run each task's whole
+  // analysis under one mutex, ordered before the region rwlock.
+  const bool concurrent = cfg_.nested_tasks;
   std::unique_lock<std::mutex> serial(norename_mu_, std::defer_lock);
-  if (!cfg_.renaming) serial.lock();
+  if (concurrent && !cfg_.renaming) serial.lock();
   // Region-mode submissions hold the region table exclusively; address-mode
-  // submissions only need it shared (for the mixed-mode diagnosis) — and
-  // skip even that while the region table has never been touched, so the
-  // common address-only case pays no shared-cache-line RMW here at all.
-  bool any_region = false;
-  for (std::size_t i = 0; i < n; ++i) any_region |= descs[i].has_region;
+  // submissions only read it (for the mixed-mode diagnosis) — and skip even
+  // that while the table has never been touched, so the common address-only
+  // case neither locks nor probes it. An empty table cannot conflict.
   const bool check_regions = any_region || regions_.maybe_tracking();
-  if (n != 0 && check_regions) {
-    if (any_region)
-      region_mu_.lock();
-    else
-      region_mu_.lock_shared();
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    t->resolved.push_back(route_access(t, descs[i], check_regions));
-  if (n != 0 && check_regions) {
-    if (any_region)
-      region_mu_.unlock();
-    else
-      region_mu_.unlock_shared();
+  std::unique_lock<std::shared_mutex> excl(region_mu_, std::defer_lock);
+  std::shared_lock<std::shared_mutex> shared(region_mu_, std::defer_lock);
+  if (concurrent && check_regions) any_region ? excl.lock() : shared.lock();
+  for (std::size_t i = 0; i < n; ++i) {
+    const AccessDesc& d = descs[i];
+    SMPSS_CHECK(d.addr != nullptr, "null pointer passed as task parameter");
+    if (is_commuting(d.dir)) {
+      // Diagnose invalid mode combinations before any tracking state is
+      // touched — the misuse surfaces at the offending spawn, not as a
+      // corrupted graph later.
+      SMPSS_CHECK(!d.has_region,
+                  "commutative/concurrent access modes are address-mode only "
+                  "(region-qualified parameters cannot commute)");
+      if (d.dir == Dir::Concurrent) {
+        SMPSS_CHECK(cfg_.renaming,
+                    "reduction (concurrent) parameters require renaming "
+                    "(SMPSS_RENAMING=1) — privatization is built on it");
+        SMPSS_CHECK(d.op.valid(),
+                    "reduction parameter without a reduction operator");
+      }
+    }
+    if (d.has_region) {
+      SMPSS_CHECK(!dep_.tracks(d.addr),
+                  "array accessed both with and without region specifiers");
+      t->resolved.push_back(regions_.process(t, d));
+      continue;
+    }
+    SMPSS_CHECK(!check_regions || !regions_.tracks(d.addr),
+                "array accessed both with and without region specifiers");
+    SMPSS_CHECK(d.bytes > 0, "task parameter with zero size");
+    t->resolved.push_back(dep_.process(t, d));
   }
 }
 
@@ -273,6 +256,8 @@ void Runtime::submit(TaskNode* t) {
   spawned_.fetch_add(1, std::memory_order_relaxed);
   tasks_live_.fetch_add(1, std::memory_order_relaxed);
   policy_submit(t);
+  // Read before the guard release: from then on `t` may run and retire.
+  const bool admitted = t->stream != nullptr;
 
   // Release the creation guard; a task with no unsatisfied inputs "is moved
   // into the main ready list or the high priority list" (Sec. III).
@@ -280,6 +265,11 @@ void Runtime::submit(TaskNode* t) {
     ready_at_creation_.fetch_add(1, std::memory_order_relaxed);
     enqueue_ready(t, submitter_tid(), /*at_creation=*/true);
   }
+
+  // A stream task's blocking conditions already ran as admission
+  // (stream_admit); the foreign-thread hard gate below must not run a
+  // second, unfair round of backpressure on top.
+  if (admitted) return;
 
   // Blocking conditions (Sec. III): "Whenever it reaches a blocking
   // condition (a barrier, a memory limit, or a graph size limit), it behaves
@@ -569,19 +559,7 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
     ++ws.counters.batched_releases;
   }
 
-  // Retire data tokens: reader marks first (so WAR decisions see the truth),
-  // then user-storage quiescence, then lifetime refs.
-  for (Version* v : t->reads) v->reader_finished(pool_);
-  for (std::atomic<int>* slot : t->user_pending_slots) {
-    // acq_rel (not plain release): wait_on's quiescence probe pairs with
-    // this decrement, and the count must never be observed below zero —
-    // each slot entry here is backed by exactly one increment at submission.
-    const int prev = slot->fetch_sub(1, std::memory_order_acq_rel);
-    SMPSS_ASSERT(prev > 0);
-    (void)prev;
-  }
-  for (Version* v : t->produces) v->release(pool_);
-
+  retire_data(t);
   ++ws.counters.executed;
 
   // Notify the parent after the data tokens retire, so a taskwait()-ing
@@ -659,14 +637,23 @@ void Runtime::retire_close(TaskNode* close, unsigned tid) {
     }
   }
 
-  for (Version* v : close->reads) v->reader_finished(pool_);
-  for (std::atomic<int>* slot : close->user_pending_slots) {
+  retire_data(close);
+  close->release();
+}
+
+void Runtime::retire_data(TaskNode* t) {
+  // Reader marks first (so WAR decisions see the truth), then user-storage
+  // quiescence, then lifetime refs.
+  for (Version* v : t->reads) v->reader_finished(pool_);
+  for (std::atomic<int>* slot : t->user_pending_slots) {
+    // acq_rel (not plain release): wait_on's quiescence probe pairs with
+    // this decrement, and the count must never be observed below zero —
+    // each slot entry here is backed by exactly one increment at submission.
     const int prev = slot->fetch_sub(1, std::memory_order_acq_rel);
     SMPSS_ASSERT(prev > 0);
     (void)prev;
   }
-  for (Version* v : close->produces) v->release(pool_);
-  close->release();
+  for (Version* v : t->produces) v->release(pool_);
 }
 
 void Runtime::drain_group_closes() {
@@ -754,17 +741,16 @@ void Runtime::barrier() {
   SMPSS_CHECK(on_main_thread() && !in_task_context(),
               "barrier is main-thread-only and may not be called inside a "
               "task body — use taskwait() to wait for child tasks");
-  // Seal every open commuting group — a barrier is a non-matching access to
-  // everything — and retire any close that is already free; closes whose
-  // members are still running retire on the worker that finishes last.
-  dep_.close_open_groups();
-  if (dep_.has_pending_closes()) drain_group_closes();
+  // Open commuting groups are not sealed before the wait: a running nested
+  // generator may still be adding members to one, and splitting it would
+  // break the group that logically precedes the barrier. Nothing waits on
+  // an open group — a later access seals it — and close nodes are not
+  // counted in tasks_live_, so the wait terminates without the seal.
   while (tasks_live_.load(std::memory_order_acquire) > 0) help_once();
   // All tasks retired (and with them all possible nested submitters): seal
-  // the groups those submitters opened *during* the wait (the first pass
-  // above cannot have seen them), align renamed data back into program
-  // storage, and drop all dependency state; the next spawn starts from a
-  // clean slate.
+  // every open group — a barrier is a non-matching access to everything —
+  // retire the closes, align renamed data back into program storage, and
+  // drop all dependency state; the next spawn starts from a clean slate.
   dep_.close_open_groups();
   if (dep_.has_pending_closes()) drain_group_closes();
   dep_.flush_all();

@@ -24,19 +24,19 @@
 //
 // With Config::nested_tasks (SMPSS_NESTED=1) the inline demotion is lifted:
 // spawn() is thread-safe and a spawn from inside a task creates a real child
-// task. Dependency analysis takes no mutex: each datum's version-chain head
-// is published by CAS and readers pin it speculatively (see
-// dep/dependency_analyzer.hpp), so the in/out/inout submission path is
-// lock-free end to end. The one exception is the no-renaming ablation, whose
-// WAR-edge reader lists need serializing: with nested submitters it runs
-// each task's whole analysis under one runtime mutex. Task sequence numbers
-// come from an atomic counter and correctness rests on per-datum
-// version-chain order, not on a global submission order: any two
-// submissions that share a datum are totally ordered at its chain head,
-// which keeps the graph acyclic. The paper-faithful path never takes any
-// lock (single submitter). taskwait() suspends the calling task until its
-// direct children finished, executing other ready tasks meanwhile;
-// barrier/wait_on remain main-thread, outside-any-task calls.
+// task. Every submission — main thread, nested, foreign thread, service
+// stream — runs one funnel (submit_task): build the node and closure,
+// analyze the whole footprint in one step, submit. Analysis takes no mutex:
+// each datum's version-chain head is published by CAS and readers pin it
+// speculatively (see dep/dependency_analyzer.hpp), so correctness rests on
+// per-datum version-chain order, not on a global submission order, and
+// sequence numbers come from an atomic counter. Only concurrent submitters
+// lock at all — the region table's rwlock, and one mutex around each
+// analysis in the no-renaming ablation, whose WAR-edge reader lists need
+// serializing; the paper-faithful single submitter never does. taskwait()
+// suspends the calling task until its direct children finished, executing
+// other ready tasks meanwhile; barrier/wait_on remain main-thread,
+// outside-any-task calls.
 #pragma once
 
 #include <atomic>
@@ -138,41 +138,8 @@ class Runtime {
       inlined_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    SMPSS_CHECK(type.id < types_.size(), "unregistered task type");
-    // Pool slot of the submitting thread; kForeignTid (>= num_threads)
-    // routes foreign submitters to the pool's internal lock-guarded slot.
-    const unsigned alloc_slot = submitter_tid();
-    TaskNode* t = allocate_task(alloc_slot);
-    t->type_id = type.id;
-    t->high_priority = types_[type.id].high_priority;
-    t->weight = attrs.weight;
-
-    using C = detail::Closure<std::decay_t<F>, std::decay_t<Ps>...>;
-    void* mem = t->allocate_closure(sizeof(C), alignof(C), alloc_slot);
-    C* closure = ::new (mem)
-        C{std::forward<F>(fn), std::tuple<std::decay_t<Ps>...>(
-                                   std::forward<Ps>(ps)...)};
-    t->set_vtable(&C::vtable);
-
-    // Parent hookup, atomic sequence number, node record.
-    begin_submission(t);
-    if (!cfg_.nested_tasks) {
-      // Zero-lock single-submitter fast path: analyze straight into the
-      // tracking tables in parameter order.
-      [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-        (analyze_param<Is>(closure, t), ...);
-      }(std::index_sequence_for<Ps...>{});
-    } else {
-      // Concurrent submitters: collect the footprint first, then analyze it
-      // in one step (region rwlock, no-renaming serialization).
-      SmallVector<AccessDesc, 6> descs;
-      [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-        (collect_param<Is>(closure, descs), ...);
-      }(std::index_sequence_for<Ps...>{});
-      analyze_accesses(t, descs.begin(), descs.size());
-    }
-
-    submit(t);
+    submit_task(type, attrs.weight, /*stream=*/nullptr, /*future=*/nullptr,
+                std::forward<F>(fn), std::forward<Ps>(ps)...);
   }
 
   /// Spawn with hints but no explicit TaskType: `attrs.name`, when set,
@@ -288,41 +255,61 @@ class Runtime {
     Xoshiro256 rng;
   };
 
-  template <std::size_t I, typename C>
-  void analyze_param(C* closure, TaskNode* t) {
-    using P = std::tuple_element_t<I, decltype(closure->params)>;
-    if constexpr (detail::ParamTraits<P>::directional) {
-      AccessDesc d = detail::ParamTraits<P>::desc(std::get<I>(closure->params));
-      t->resolved.push_back(route_access(t, d));
+  /// The one submission funnel behind every spawn (main thread, nested,
+  /// foreign thread) and StreamHandle::submit/post: allocate the node,
+  /// build the closure, hook up parent/sequence/graph node, analyze every
+  /// directional parameter in one step, then submit. A stream submission
+  /// (`stream` set) is admitted first — admission is its Sec. III blocking
+  /// condition — and may carry a `future` whose task-side ref it takes.
+  template <typename F, typename... Ps>
+  void submit_task(TaskType type, std::uint64_t weight, StreamState* stream,
+                   FutureState* future, F&& fn, Ps&&... ps) {
+    SMPSS_CHECK(type.id < types_.size(), "unregistered task type");
+    if (stream != nullptr) stream_admit(*stream);
+    // Pool slot of the submitting thread; kForeignTid (>= num_threads)
+    // routes foreign submitters to the pool's internal lock-guarded slot.
+    const unsigned alloc_slot = submitter_tid();
+    TaskNode* t = allocate_task(alloc_slot);
+    t->type_id = type.id;
+    t->high_priority = types_[type.id].high_priority;
+    t->weight = weight;
+    if (stream != nullptr) {
+      t->stream = stream;
+      t->account = &stream->account;
+      t->submit_ns = now_ns();
+      t->future = future;
     }
+
+    using C = detail::Closure<std::decay_t<F>, std::decay_t<Ps>...>;
+    void* mem = t->allocate_closure(sizeof(C), alignof(C), alloc_slot);
+    C* closure = ::new (mem)
+        C{std::forward<F>(fn), std::tuple<std::decay_t<Ps>...>(
+                                   std::forward<Ps>(ps)...)};
+    t->set_vtable(&C::vtable);
+
+    begin_submission(t);
+    const auto accesses = closure->accesses();
+    analyze(t, accesses.data(), accesses.size(), C::kHasRegion);
+    submit(t);
   }
 
-  template <std::size_t I, typename C>
-  void collect_param(C* closure, SmallVector<AccessDesc, 6>& out) {
-    using P = std::tuple_element_t<I, decltype(closure->params)>;
-    if constexpr (detail::ParamTraits<P>::directional)
-      out.push_back(detail::ParamTraits<P>::desc(std::get<I>(closure->params)));
-  }
-
-  /// Dispatch one access to the address-mode or region-mode analyzer,
-  /// diagnosing mixed-mode use of one array. `check_region_table` is false
-  /// only when the concurrent path decided the region table was empty and
-  /// therefore did not take the region rwlock (see analyze_accesses).
-  void* route_access(TaskNode* t, const AccessDesc& d,
-                     bool check_region_table = true);
-
-  /// Concurrent-submitter analysis: run every per-datum analysis straight
-  /// in (CAS chain publication). Only the region rwlock is taken, and only
-  /// when region tracking is live — plus, in the no-renaming ablation,
-  /// norename_mu_ around the whole footprint.
-  void analyze_accesses(TaskNode* t, const AccessDesc* descs, std::size_t n);
+  /// Dependency analysis of one task's footprint, in parameter order:
+  /// diagnose invalid accesses, then route each to the address-mode or
+  /// region-mode analyzer. Per-datum consistency comes from CAS publication
+  /// on each chain head, so the only locks are for concurrent submitters
+  /// (Config::nested_tasks): the region rwlock while region tracking is
+  /// live, and norename_mu_ around the whole footprint in the no-renaming
+  /// ablation. The single submitter takes none.
+  void analyze(TaskNode* t, const AccessDesc* descs, std::size_t n,
+               bool any_region);
 
   /// Hook up the parent link, assign the (atomic) sequence number, record
   /// the graph node.
   void begin_submission(TaskNode* t);
 
   /// Account the new task, release its creation guard, then apply the
-  /// Sec. III blocking conditions (task window, rename-memory limit).
+  /// Sec. III blocking conditions (task window, rename-memory limit) —
+  /// except to stream tasks, whose admission already applied them.
   void submit(TaskNode* t);
 
   /// Ready-list index the calling thread owns in this runtime, or kForeignTid
@@ -369,6 +356,10 @@ class Runtime {
   /// via drain_group_closes when the analyzer sealed an empty/idle group).
   void retire_close(TaskNode* close, unsigned tid);
 
+  /// The data half of a retire, shared by tasks and close nodes: reader
+  /// marks, user-storage quiescence counts, produced-version refs.
+  void retire_data(TaskNode* t);
+
   /// Retire every close node the analyzer queued (groups sealed on the
   /// submission path resolve there, never on a worker). Called from
   /// submit/barrier/wait_on/drain — any point that observes the analyzer.
@@ -381,10 +372,6 @@ class Runtime {
   /// Increments s.submitted and s.live.
   void stream_admit(StreamState& s);
 
-  /// Post-analysis accounting + creation-guard release for a stream task
-  /// (the Sec. III blocking conditions already ran as admission).
-  void submit_stream_task(TaskNode* t);
-
   /// Retire-side service hook: fulfill the future (callback runs here,
   /// before the stream's live count drops), record latency, credit the
   /// stream, wake drainers.
@@ -394,50 +381,11 @@ class Runtime {
   void close_stream(StreamState& s);
   void wait_future(FutureState& f);
 
+  /// Block until `done()` (stream drain, future wait). Defined in stream.cpp.
+  template <typename Done>
+  void wait_until(IdleGate& gate, Done done);
+
   void stats_exporter_main();
-
-  /// StreamHandle::submit/post forward here. `want_future` gates the
-  /// FutureState allocation (post() never allocates one).
-  template <typename F, detail::TaskParam... Ps>
-  TaskFuture spawn_stream(StreamState& s, bool want_future, TaskType type,
-                          F&& fn, Ps&&... ps) {
-    SMPSS_CHECK(type.id < types_.size(), "unregistered task type");
-    stream_admit(s);
-
-    const unsigned alloc_slot = submitter_tid();
-    TaskNode* t = allocate_task(alloc_slot);
-    t->type_id = type.id;
-    t->high_priority = types_[type.id].high_priority;
-    t->stream = &s;
-    t->account = &s.account;
-    t->submit_ns = now_ns();
-
-    using C = detail::Closure<std::decay_t<F>, std::decay_t<Ps>...>;
-    void* mem = t->allocate_closure(sizeof(C), alignof(C), alloc_slot);
-    C* closure = ::new (mem)
-        C{std::forward<F>(fn), std::tuple<std::decay_t<Ps>...>(
-                                   std::forward<Ps>(ps)...)};
-    t->set_vtable(&C::vtable);
-
-    TaskFuture fut;
-    if (want_future) {
-      auto* f = new FutureState(this);
-      t->future = f;         // task-side ref, dropped after fulfill()
-      fut = TaskFuture(f);   // handle-side ref (FutureState starts at 2)
-    }
-
-    // Streams are concurrent submitters by definition: always the collected
-    // analysis path (open_stream requires Config::nested_tasks).
-    begin_submission(t);
-    SmallVector<AccessDesc, 6> descs;
-    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-      (collect_param<Is>(closure, descs), ...);
-    }(std::index_sequence_for<Ps...>{});
-    analyze_accesses(t, descs.begin(), descs.size());
-
-    submit_stream_task(t);
-    return fut;
-  }
 
   Config cfg_;
   std::thread::id main_thread_id_;
@@ -527,8 +475,10 @@ class Runtime {
 template <typename F, detail::TaskParam... Ps>
 TaskFuture StreamHandle::submit(TaskType type, F&& fn, Ps&&... ps) {
   SMPSS_CHECK(s_ != nullptr, "submit() on an invalid StreamHandle");
-  return rt_->spawn_stream(*s_, /*want_future=*/true, type,
-                           std::forward<F>(fn), std::forward<Ps>(ps)...);
+  auto* f = new FutureState(rt_);  // refs: the task's and the handle's
+  rt_->submit_task(type, /*weight=*/0, s_, f, std::forward<F>(fn),
+                   std::forward<Ps>(ps)...);
+  return TaskFuture(f);
 }
 
 template <typename F, detail::TaskParam... Ps>
@@ -540,8 +490,8 @@ TaskFuture StreamHandle::submit(F&& fn, Ps&&... ps) {
 template <typename F, detail::TaskParam... Ps>
 void StreamHandle::post(TaskType type, F&& fn, Ps&&... ps) {
   SMPSS_CHECK(s_ != nullptr, "post() on an invalid StreamHandle");
-  rt_->spawn_stream(*s_, /*want_future=*/false, type, std::forward<F>(fn),
-                    std::forward<Ps>(ps)...);
+  rt_->submit_task(type, /*weight=*/0, s_, /*future=*/nullptr,
+                   std::forward<F>(fn), std::forward<Ps>(ps)...);
 }
 
 template <typename F, detail::TaskParam... Ps>

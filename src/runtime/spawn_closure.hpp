@@ -9,6 +9,7 @@
 // over-aligned captures fall back to operator new.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <tuple>
 #include <utility>
@@ -34,10 +35,45 @@ constexpr std::size_t resolved_slot() {
   return n;
 }
 
+/// Parameter index of the K-th directional parameter among Ps.
+template <std::size_t K, typename... Ps>
+constexpr std::size_t directional_index() {
+  constexpr bool dir[] = {ParamTraits<Ps>::directional..., false};
+  for (std::size_t i = 0, seen = 0; i < sizeof...(Ps); ++i)
+    if (dir[i] && seen++ == K) return i;
+  return sizeof...(Ps);
+}
+
+template <typename P>
+inline constexpr bool is_region_param = false;
+template <typename T>
+inline constexpr bool is_region_param<RegionParam<T>> = true;
+
 template <typename F, typename... Ps>
 struct Closure {
   F fn;
   std::tuple<Ps...> params;
+
+  /// Whether any parameter is region-qualified — known from the signature,
+  /// so the analysis picks its region-table lock mode without scanning.
+  static constexpr bool kHasRegion = (is_region_param<Ps> || ...);
+
+  /// The access descriptors of the directional parameters, in parameter
+  /// order: what the paper's compiler forwards to the runtime per call.
+  /// Each is built in place: default-constructing the array and assigning
+  /// into it made a main-thread spawn about 15% slower.
+  std::array<AccessDesc, directional_count<Ps...>()> accesses() const {
+    return [this]<std::size_t... Ks>(std::index_sequence<Ks...>) {
+      return std::array<AccessDesc, sizeof...(Ks)>{
+          desc<directional_index<Ks, Ps...>()>()...};
+    }(std::make_index_sequence<directional_count<Ps...>()>{});
+  }
+
+  template <std::size_t I>
+  AccessDesc desc() const {
+    using P = std::tuple_element_t<I, std::tuple<Ps...>>;
+    return ParamTraits<P>::desc(std::get<I>(params));
+  }
 
   template <std::size_t I>
   decltype(auto) arg(void* const* resolved) {

@@ -4,7 +4,6 @@
 // sched/admission.hpp for the fairness policy.
 #include "runtime/stream.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/timing.hpp"
@@ -80,23 +79,6 @@ void Runtime::stream_admit(StreamState& s) {
   s.live.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Runtime::submit_stream_task(TaskNode* t) {
-  // The stream counterpart of submit(): accounting plus the creation-guard
-  // release only — the Sec. III blocking conditions already ran as
-  // admission (stream_admit), so the foreign-thread hard gate must not run
-  // a second, unfair round of backpressure on top.
-  if (dep_.has_pending_closes()) drain_group_closes();
-  if (t->conflicts.size() > 1)
-    std::sort(t->conflicts.begin(), t->conflicts.begin() + t->conflicts.size());
-  spawned_.fetch_add(1, std::memory_order_relaxed);
-  tasks_live_.fetch_add(1, std::memory_order_relaxed);
-  policy_submit(t);
-  if (t->pending_deps.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    ready_at_creation_.fetch_add(1, std::memory_order_relaxed);
-    enqueue_ready(t, submitter_tid(), /*at_creation=*/true);
-  }
-}
-
 void Runtime::retire_service(TaskNode* t) {
   // Future first: the callback must have finished by the time the stream's
   // live count can read zero, so drain()/close() returning implies every
@@ -121,6 +103,23 @@ void Runtime::retire_service(TaskNode* t) {
   }
 }
 
+template <typename Done>
+void Runtime::wait_until(IdleGate& gate, Done done) {
+  // The main thread helps execute (as at every Sec. III blocking
+  // condition); any other thread sleeps on `gate` with the usual bounded
+  // timeout.
+  const bool can_help = on_main_thread() && !in_task_context();
+  while (!done()) {
+    if (can_help) {
+      help_once();
+      continue;
+    }
+    const std::uint64_t seen = gate.prepare_wait();
+    if (done()) return;
+    gate.wait(seen, std::chrono::microseconds(200));
+  }
+}
+
 void Runtime::drain_stream(StreamState& s) {
   SMPSS_CHECK(!(in_task_context() && detail::tls.current_owner == this),
               "drain() may not run inside one of this runtime's own task "
@@ -131,19 +130,8 @@ void Runtime::drain_stream(StreamState& s) {
   // new groups; correctness is unaffected, only batching).
   dep_.close_open_groups();
   if (dep_.has_pending_closes()) drain_group_closes();
-  // The main thread helps execute (as at every Sec. III blocking
-  // condition); any other client sleeps on the gate with the usual bounded
-  // timeout.
-  const bool can_help = on_main_thread() && !in_task_context();
-  while (s.live.load(std::memory_order_acquire) > 0) {
-    if (can_help) {
-      help_once();
-      continue;
-    }
-    const std::uint64_t seen = gate_.prepare_wait();
-    if (s.live.load(std::memory_order_acquire) <= 0) break;
-    gate_.wait(seen, std::chrono::microseconds(200));
-  }
+  wait_until(gate_,
+             [&] { return s.live.load(std::memory_order_acquire) <= 0; });
 }
 
 void Runtime::close_stream(StreamState& s) {
@@ -157,44 +145,27 @@ void Runtime::close_stream(StreamState& s) {
 }
 
 void Runtime::shutdown_streams() {
-  // Snapshot under the registry lock, flip everything still Open to
-  // Draining first (so no stream keeps feeding the window while its
-  // sibling drains), then drain and close each.
-  std::vector<StreamState*> open;
+  // Flip everything still Open to Draining first (so no stream keeps
+  // feeding the window while its sibling drains), then close each.
+  std::vector<StreamState*> all;
   {
     std::lock_guard<std::mutex> lk(streams_mu_);
-    open.reserve(streams_.size());
-    for (const auto& s : streams_) open.push_back(s.get());
+    all.reserve(streams_.size());
+    for (const auto& s : streams_) all.push_back(s.get());
   }
-  for (StreamState* s : open) {
+  for (StreamState* s : all) {
     StreamState::Phase expected = StreamState::Phase::Open;
     s->phase.compare_exchange_strong(expected, StreamState::Phase::Draining,
                                      std::memory_order_acq_rel);
   }
-  for (StreamState* s : open) {
-    if (s->phase.load(std::memory_order_acquire) ==
-        StreamState::Phase::Closed)
-      continue;
-    drain_stream(*s);
-    s->phase.store(StreamState::Phase::Closed, std::memory_order_release);
-    admission_.remove(s->ticket);
-  }
+  for (StreamState* s : all) close_stream(*s);
 }
 
 void Runtime::wait_future(FutureState& f) {
   SMPSS_CHECK(!(in_task_context() && detail::tls.current_owner == this),
               "TaskFuture::wait may not run inside one of this runtime's "
               "own task bodies");
-  const bool can_help = on_main_thread() && !in_task_context();
-  while (!f.ready()) {
-    if (can_help) {
-      help_once();
-      continue;
-    }
-    const std::uint64_t seen = future_gate_.prepare_wait();
-    if (f.ready()) return;
-    future_gate_.wait(seen, std::chrono::microseconds(200));
-  }
+  wait_until(future_gate_, [&] { return f.ready(); });
 }
 
 // --- FutureState --------------------------------------------------------------

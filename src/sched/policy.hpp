@@ -20,12 +20,12 @@
 //         submit — every predecessor's distance is already final by
 //         induction) plus a one-hop bottom-level raise (`bl_ns`, fetch-max'd
 //         on each predecessor as successors are submitted). A ready task
-//         whose priority exceeds the running average by Config::
-//         aware_crit_ppm is promoted into the high-priority FIFO, so the
-//         longest chain stops starving behind bulk work;
+//         whose priority exceeds the running average by kAwareCritPpm is
+//         promoted into the high-priority FIFO, so the longest chain stops
+//         starving behind bulk work;
 //       - locality: on_submit votes for the worker that executed the
-//         producers of the task's input versions (Config::aware_locality_ppm
-//         share required); placement routes the task to that worker's
+//         producers of the task's input versions (kAwareLocalityPpm share
+//         required); placement routes the task to that worker's
 //         per-worker MPMC inbox (Chase-Lev pushes are owner-only, so remote
 //         placement needs its own lane). Steal order is topology-near:
 //         victims sharing the thief's core first, then its package
@@ -72,15 +72,20 @@ struct PolicyTuning {
   StealOrder steal_order = StealOrder::CreationOrder;
   bool nested_tasks = false;
   SchedPolicyKind kind = SchedPolicyKind::Paper;
-  /// Promote a ready task to the high-priority FIFO when its critical-path
-  /// priority exceeds the running average times this / 1e6.
-  std::uint32_t crit_ppm = 1500000;
-  /// Minimum share (ppm) of input versions one worker must have produced
-  /// before placement prefers that worker's queue.
-  std::uint32_t locality_ppm = 500000;
-  /// Assumed cost (ns) of a task type never yet executed.
-  std::uint64_t default_cost_ns = 1000;
 };
+
+/// AwarePolicy constants. Promote a ready task to the high-priority FIFO
+/// when its critical-path priority exceeds the running average times
+/// kAwareCritPpm / 1e6.
+inline constexpr std::uint32_t kAwareCritPpm = 1500000;
+static_assert(kAwareCritPpm > 1000000,
+              "at or below the average, every ready task would be promoted "
+              "and the high list would swallow the graph");
+/// Minimum share (ppm) of input versions one worker must have produced
+/// before placement prefers that worker's queue.
+inline constexpr std::uint32_t kAwareLocalityPpm = 500000;
+/// Assumed cost (ns) of a task type never yet executed.
+inline constexpr std::uint64_t kAwareDefaultCostNs = 1000;
 
 /// Where an enqueue landed. The Runtime owns the wakeup protocol (it holds
 /// the gate), so the policy reports placement and the Runtime decides
@@ -141,7 +146,7 @@ class SchedulerPolicy {
   /// Current cost estimate of a task type (ns).
   virtual std::uint64_t cost_estimate(std::uint32_t type_id) const {
     (void)type_id;
-    return tu_.default_cost_ns;
+    return kAwareDefaultCostNs;
   }
 
   /// Task ready at creation: submitted with no unsatisfied inputs. `tid` is
@@ -342,7 +347,7 @@ class AwarePolicy final : public SchedulerPolicy<T> {
     if (tu_.mode == SchedulerMode::Distributed && best_tid != kNoWorker &&
         best_tid < tu_.nthreads && npreds != 0 &&
         best_votes * 1000000ull >=
-            static_cast<std::uint64_t>(npreds) * tu_.locality_ppm)
+            static_cast<std::uint64_t>(npreds) * kAwareLocalityPpm)
       t->pref_tid = best_tid;
   }
 
@@ -362,7 +367,7 @@ class AwarePolicy final : public SchedulerPolicy<T> {
   std::uint64_t cost_estimate(std::uint32_t type_id) const override {
     const std::uint64_t c =
         shared_cost_[slot_of(type_id)].load(std::memory_order_relaxed);
-    return c != 0 ? c : tu_.default_cost_ns;
+    return c != 0 ? c : kAwareDefaultCostNs;
   }
 
   Placed enqueue_creation(T* t, unsigned tid, bool in_task) override {
@@ -538,7 +543,7 @@ class AwarePolicy final : public SchedulerPolicy<T> {
       // Relative-to-average threshold: uniform graphs (a stencil where all
       // priorities agree) promote nothing and keep their locality; a chain
       // tail starving behind bulk work clears the bar.
-      const std::uint64_t thresh = avg * (tu_.crit_ppm / 1000u) / 1000u;
+      const std::uint64_t thresh = avg * (kAwareCritPpm / 1000u) / 1000u;
       crit = pr > thresh;
     }
     if (!t->high_priority && !crit) return false;

@@ -6,10 +6,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <initializer_list>
 #include <numeric>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/aligned_alloc.hpp"
@@ -270,6 +272,92 @@ TEST(Env, MalformedConfigValueKeepsDefault) {
   EXPECT_EQ(c.renaming, defaults.renaming);
   EXPECT_NE(err.find("SMPSS_NUM_THREADS=\"3x\""), std::string::npos) << err;
   EXPECT_NE(err.find("SMPSS_RENAMING=\"nope\""), std::string::npos) << err;
+}
+
+/// Config::from_env() under `vars` (set, then unset), plus its stderr.
+Config from_env_with(
+    std::initializer_list<std::pair<const char*, const char*>> vars,
+    std::string& err) {
+  for (const auto& [name, value] : vars) ::setenv(name, value, 1);
+  ::testing::internal::CaptureStderr();
+  Config c = Config::from_env();
+  err = ::testing::internal::GetCapturedStderr();
+  for (const auto& [name, value] : vars) ::unsetenv(name);
+  return c;
+}
+
+std::size_t occurrences(const std::string& hay, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto p = hay.find(needle); p != std::string::npos;
+       p = hay.find(needle, p + 1))
+    ++n;
+  return n;
+}
+
+TEST(Env, ChoiceSettingsParse) {
+  std::string err;
+  const Config c = from_env_with({{"SMPSS_SCHEDULER", "centralized"},
+                                  {"SMPSS_STEAL_ORDER", "random"},
+                                  {"SMPSS_SCHED_POLICY", "aware"}},
+                                 err);
+  EXPECT_EQ(c.scheduler_mode, SchedulerMode::Centralized);
+  EXPECT_EQ(c.steal_order, StealOrder::Random);
+  EXPECT_EQ(c.sched_policy, SchedPolicyKind::Aware);
+  EXPECT_TRUE(err.empty()) << err;
+}
+
+TEST(Env, UnknownChoiceRejectedWithOneDiagnostic) {
+  // Regression: an unknown value used to be ignored silently, so a typo
+  // like SMPSS_SCHED_POLICY=awre ran the paper policy.
+  const Config defaults;
+  std::string err;
+  const Config c = from_env_with({{"SMPSS_SCHEDULER", "central"},
+                                  {"SMPSS_STEAL_ORDER", "Random"},
+                                  {"SMPSS_SCHED_POLICY", "awre"}},
+                                 err);
+  EXPECT_EQ(c.scheduler_mode, defaults.scheduler_mode);
+  EXPECT_EQ(c.steal_order, defaults.steal_order);
+  EXPECT_EQ(c.sched_policy, defaults.sched_policy);
+  for (const char* line :
+       {"smpss: ignoring SMPSS_SCHEDULER=\"central\" "
+        "(expected distributed|centralized)\n",
+        "smpss: ignoring SMPSS_STEAL_ORDER=\"Random\" "
+        "(expected creation|random)\n",
+        "smpss: ignoring SMPSS_SCHED_POLICY=\"awre\" (expected paper|aware)\n"})
+    EXPECT_EQ(occurrences(err, line), 1u) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 3) << err;
+}
+
+TEST(Env, UnknownAndRetiredNamesDiagnosed) {
+  std::string err;
+  const Config c = from_env_with({{"SMPSS_DEP_LOCKFREE", "1"},
+                                  {"SMPSS_AWARE_CRIT_PPM", "2000000"},
+                                  {"SMPSS_AWARE_LOCALITY_PPM", "1"},
+                                  {"SMPSS_AWARE_COST_NS", "5"},
+                                  {"SMPSS_NUM_THREAD", "2"},
+                                  {"SMPSS_NUM_THREADS", "3"}},
+                                 err);
+  EXPECT_EQ(c.num_threads, 3u);
+  for (const char* name : {"SMPSS_DEP_LOCKFREE", "SMPSS_AWARE_CRIT_PPM",
+                           "SMPSS_AWARE_LOCALITY_PPM", "SMPSS_AWARE_COST_NS"})
+    EXPECT_EQ(occurrences(err, std::string(name) + "=\""), 1u)
+        << name << ": " << err;
+  EXPECT_EQ(occurrences(err, "(retired setting)\n"), 4u) << err;
+  EXPECT_EQ(occurrences(err, "smpss: ignoring SMPSS_NUM_THREAD=\"2\" "
+                             "(unknown setting)\n"),
+            1u)
+      << err;
+  EXPECT_EQ(occurrences(err, "SMPSS_NUM_THREADS"), 0u) << err;
+}
+
+TEST(Env, TestAndBenchVariablesStayLegal) {
+  std::string err;
+  from_env_with({{"SMPSS_TEST_SEED", "7"},
+                 {"SMPSS_FUZZ_BUDGET_MS", "10"},
+                 {"SMPSS_FUZZ_SEED_BASE", "1"},
+                 {"SMPSS_BENCH_SCALE", "2"}},
+                err);
+  EXPECT_TRUE(err.empty()) << err;
 }
 
 // --- spin primitives -----------------------------------------------------------------

@@ -8,7 +8,10 @@
 // private shows up as a wrong number, not a flake.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "apps/pagerank.hpp"
@@ -112,6 +115,38 @@ TEST(Commutative, NestedSubmitters) {
     });
   rt.barrier();
   EXPECT_EQ(x, 8 * 32);
+}
+
+// Regression: barrier() used to seal every open group before it waited, so
+// a group a running nested generator was still adding members to split in
+// two. The generator adds one member, lets the main thread enter barrier(),
+// gives a premature seal 200 ms to show up, then adds the second member:
+// both belong to the one group that logically precedes the barrier.
+TEST(Commutative, BarrierDoesNotSplitGroupOfRunningGenerator) {
+  Config c = threads(2);
+  c.nested_tasks = true;
+  Runtime rt(c);
+  std::int64_t x = 0;
+  Runtime* rtp = &rt;
+  std::int64_t* xp = &x;
+  std::atomic<bool> started{false};
+  rt.spawn([rtp, xp, &started]() {
+    rtp->spawn([](std::int64_t* p) { racy_add(p, 1); }, commutative(xp));
+    started.store(true, std::memory_order_release);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    while (rtp->stats().groups_closed == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    rtp->spawn([](std::int64_t* p) { racy_add(p, 2); }, commutative(xp));
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  rt.barrier();
+  EXPECT_EQ(x, 3);
+  const StatsSnapshot s = rt.stats();
+  EXPECT_EQ(s.groups_opened, 1u) << "barrier() split the generator's group";
+  EXPECT_EQ(s.groups_closed, 1u);
+  EXPECT_EQ(s.group_joins, 2u);
 }
 
 // --- conflict tokens across groups ---------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -95,9 +96,24 @@ TEST(ForkJoinStats, StealsHappenWithManyThreads) {
     GTEST_SKIP() << "stealing needs real hardware parallelism";
   fj::Scheduler s(8);
   std::atomic<long> sink{0};
+  // The first two child bodies wait for each other (10 s deadline, so a
+  // scheduler that never steals fails instead of hanging). Every child sits
+  // in the root worker's deque, and that worker is busy in the first body,
+  // so the second one can only have been stolen — however fast the
+  // thieves happen to wake.
+  std::atomic<int> arrived{0};
+  const auto meet = [&arrived] {
+    if (arrived.fetch_add(1, std::memory_order_acq_rel) >= 2) return;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load(std::memory_order_acquire) < 2 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  };
   s.run_root([&](fj::Context& ctx) {
     for (int i = 0; i < 5000; ++i)
       ctx.spawn([&](fj::Context&) {
+        meet();
         long acc = 0;
         for (int k = 0; k < 2000; ++k) acc += k;
         sink.fetch_add(acc, std::memory_order_relaxed);

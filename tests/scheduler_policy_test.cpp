@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 #include <vector>
@@ -23,6 +24,28 @@ void burn_cycles(int iters, long* sink) {
   for (int k = 0; k < iters; ++k) asm volatile("" : "+r"(acc));
   *sink = acc + iters;
 }
+
+/// The first `n` task bodies to arrive wait for each other, so they provably
+/// ran on `n` distinct threads at once (a waiting body runs no other task).
+/// This makes spread/steal assertions independent of how fast the workers
+/// happen to wake; the 10 s deadline turns a scheduler that cannot spread
+/// into a failed assertion instead of a hang.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int n) : n_(n) {}
+  void arrive() {
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) >= n_) return;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived_.load(std::memory_order_acquire) < n_ &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  }
+
+ private:
+  const int n_;
+  std::atomic<int> arrived_{0};
+};
 
 }  // namespace
 
@@ -71,10 +94,12 @@ TEST(SchedulerPolicy, IndependentWorkSpreadsAcrossWorkers) {
   constexpr int kTasks = 256;
   std::vector<std::thread::id> executor(kTasks);
   std::vector<long> sinks(kTasks, 0);
+  Rendezvous meet(4);
   for (int i = 0; i < kTasks; ++i)
     rt.spawn(
-        [i, &executor](long* p) {
+        [i, &executor, &meet](long* p) {
           executor[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+          meet.arrive();
           *p = 0;
           burn_cycles(200000, p);
         },
@@ -94,18 +119,37 @@ TEST(SchedulerPolicy, StealingKicksInOnImbalance) {
   // publication (batched release), so each step must leave enough work on
   // the table — for long enough — that sleeping workers (bounded 500us
   // re-poll) reliably wake and steal even on a loaded CI host.
+  //
+  // A gate task heads the chain and opens once everything is submitted, so
+  // no lane is ready at creation (the main list would hand it out without
+  // a steal): every task after the gate is released into some worker's own
+  // list. The first two lane bodies then meet — the worker that popped the
+  // first is busy in it, so the second can only have been stolen.
   long chain = 0;
   std::vector<long> lanes(64, 0);
+  std::atomic<bool> submitted{false};
+  rt.spawn(
+      [&submitted](long*) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!submitted.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline)
+          std::this_thread::yield();
+      },
+      inout(&chain));
+  Rendezvous meet(2);
   for (int step = 0; step < 30; ++step) {
     rt.spawn([](long* c) { burn_cycles(10000, c); }, inout(&chain));
     for (int w = 0; w < 64; ++w)
       rt.spawn(
-          [](const long* c, long* lane) {
+          [&meet](const long* c, long* lane) {
+            meet.arrive();
             burn_cycles(20000, lane);
             (void)c;
           },
           in(&chain), inout(&lanes[w]));
   }
+  submitted.store(true, std::memory_order_release);
   rt.barrier();
   EXPECT_EQ(chain, 300000);
   for (long v : lanes) EXPECT_EQ(v, 30 * 20000);
@@ -323,10 +367,12 @@ TEST(SchedulerPolicy, AwareIndependentWorkStillSpreads) {
   constexpr int kTasks = 256;
   std::vector<std::thread::id> executor(kTasks);
   std::vector<long> sinks(kTasks, 0);
+  Rendezvous meet(4);
   for (int i = 0; i < kTasks; ++i)
     rt.spawn(
-        [i, &executor](long* p) {
+        [i, &executor, &meet](long* p) {
           executor[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+          meet.arrive();
           *p = 0;
           burn_cycles(200000, p);
         },
@@ -369,10 +415,12 @@ TEST(SchedulerPolicy, CentralizedModeStillBalances) {
   Runtime rt(cfg);
   std::vector<std::thread::id> executor(128);
   std::vector<long> sinks(128, 0);
+  Rendezvous meet(4);
   for (int i = 0; i < 128; ++i)
     rt.spawn(
-        [i, &executor](long* p) {
+        [i, &executor, &meet](long* p) {
           executor[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+          meet.arrive();
           *p = 0;
           burn_cycles(100000, p);
         },

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "runtime/runtime.hpp"
@@ -269,6 +271,121 @@ TEST(SpawnApiDeath, RegisterTypeOffMainThreadAborts) {
       },
       "main-thread-only");
 }
+
+// --- spawn-time diagnostics through every submission route -------------------
+
+enum class Misuse {
+  NullPointer,
+  ZeroSize,
+  AddressThenRegion,
+  RegionThenAddress,
+  RegionOnCommuting,
+  ReductionWithoutRenaming,
+};
+enum class Route { SingleSubmitter, Nested, Stream };
+
+/// Issue the misuse through `sub`: a Runtime (spawn) or a StreamHandle
+/// (spawn, its alias of post).
+template <typename Submitter>
+void commit(Misuse m, Submitter& sub, std::int64_t* data) {
+  const TaskType any{0};
+  const auto body = [](std::int64_t* p) { p[0] += 1; };
+  switch (m) {
+    case Misuse::NullPointer:
+      sub.spawn(any, body, out(static_cast<std::int64_t*>(nullptr)));
+      break;
+    case Misuse::ZeroSize:
+      sub.spawn(any, body, out(data, 0));
+      break;
+    case Misuse::AddressThenRegion:
+      sub.spawn(any, body, inout(data, 8));
+      sub.spawn(any, body, inout(data, Region{{Bound::closed(0, 3)}}));
+      break;
+    case Misuse::RegionThenAddress:
+      sub.spawn(any, body, inout(data, Region{{Bound::closed(0, 3)}}));
+      sub.spawn(any, body, inout(data, 8));
+      break;
+    case Misuse::RegionOnCommuting: {
+      Region r{{Bound::closed(0, 3)}};
+      r.set_elem_bytes(sizeof(std::int64_t));
+      sub.spawn(any, body,
+                RegionParam<std::int64_t>{data, r, Dir::Commutative});
+      break;
+    }
+    case Misuse::ReductionWithoutRenaming:
+      sub.spawn(any, body, reduction(Plus{}, data));
+      break;
+  }
+}
+
+const char* diagnostic_of(Misuse m) {
+  switch (m) {
+    case Misuse::NullPointer: return "null pointer";
+    case Misuse::ZeroSize: return "zero size";
+    case Misuse::AddressThenRegion:
+    case Misuse::RegionThenAddress: return "with and without region";
+    case Misuse::RegionOnCommuting: return "address-mode only";
+    case Misuse::ReductionWithoutRenaming: return "require renaming";
+  }
+  return "?";
+}
+
+/// Every spawn-time diagnostic must fire whichever route the submission
+/// took: they all share one analysis step.
+class SpawnDiagnosticDeath
+    : public ::testing::TestWithParam<std::tuple<Route, Misuse>> {};
+
+TEST_P(SpawnDiagnosticDeath, AbortsWithDiagnostic) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const auto [route, misuse] = GetParam();
+  ASSERT_DEATH(
+      {
+        Config c;
+        c.num_threads = route == Route::SingleSubmitter ? 1 : 2;
+        c.nested_tasks = route != Route::SingleSubmitter;
+        c.renaming = misuse != Misuse::ReductionWithoutRenaming;
+        Runtime rt(c);
+        std::vector<std::int64_t> data(8, 0);
+        std::int64_t* d = data.data();
+        switch (route) {
+          case Route::SingleSubmitter:
+            commit(misuse, rt, d);
+            break;
+          case Route::Nested:
+            rt.spawn([&rt, misuse, d] { commit(misuse, rt, d); });
+            break;
+          case Route::Stream: {
+            StreamHandle s = rt.open_stream();
+            commit(misuse, s, d);
+            s.drain();
+            break;
+          }
+        }
+        rt.barrier();
+      },
+      diagnostic_of(misuse));
+}
+
+std::string route_misuse_name(
+    const ::testing::TestParamInfo<std::tuple<Route, Misuse>>& info) {
+  static const char* const kRoutes[] = {"single", "nested", "stream"};
+  static const char* const kMisuses[] = {
+      "null_pointer",        "zero_size",           "address_then_region",
+      "region_then_address", "region_on_commuting", "reduction_no_renaming"};
+  return std::string(kRoutes[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + kMisuses[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Routes, SpawnDiagnosticDeath,
+    ::testing::Combine(::testing::Values(Route::SingleSubmitter, Route::Nested,
+                                         Route::Stream),
+                       ::testing::Values(Misuse::NullPointer, Misuse::ZeroSize,
+                                         Misuse::AddressThenRegion,
+                                         Misuse::RegionThenAddress,
+                                         Misuse::RegionOnCommuting,
+                                         Misuse::ReductionWithoutRenaming)),
+    route_misuse_name);
 
 }  // namespace
 }  // namespace smpss
