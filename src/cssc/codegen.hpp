@@ -25,6 +25,6 @@ struct CodegenOptions {
 std::string generate(const TranslationUnit& tu, const CodegenOptions& opts = {});
 
 /// Render the adapter for a single task (exposed for tests).
-std::string generate_task(const TaskDecl& task, const CodegenOptions& opts = {});
+std::string generate_task(const TaskDecl& task);
 
 }  // namespace smpss::cssc

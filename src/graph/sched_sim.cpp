@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <queue>
-#include <tuple>
+#include <utility>
 #include <unordered_map>
 
 #include "common/check.hpp"
@@ -13,32 +13,20 @@ namespace smpss {
 
 namespace {
 
-/// The simulator's node type for SchedulerPolicy<T>: the intrusive link and
-/// the policy fields TaskNode carries, plus the replay's own index. The
-/// atomics are single-threaded here; they exist because the shared template
-/// code declares its loads/stores against them.
+/// The replay's node type for ReadyLists<T>: the intrusive link and the
+/// placement fields TaskNode carries, plus the replay's own index.
 struct SimNode {
   SimNode* queue_next = nullptr;
   std::uint64_t seq = 0;
-  std::uint32_t type_id = 0;
   bool high_priority = false;
-  std::atomic<std::uint64_t> path_ns{0};
-  std::atomic<std::uint64_t> bl_ns{0};
-  std::atomic<std::uint32_t> exec_tid{~0u};
   std::uint32_t pref_tid = ~0u;
-  std::uint64_t weight = 0;  ///< per-task cost hint (0 in replays)
-  std::size_t idx = 0;  ///< position in the nodes() vector (replay only)
+  std::size_t idx = 0;  ///< position in the nodes() vector
 };
-
-/// Fixed-point scale for double costs entering the policy's integer
-/// priority fields (path_ns / bl_ns).
-constexpr double kCostScale = 1024.0;
 
 }  // namespace
 
 SimResult simulate_schedule(const GraphRecorder& rec, unsigned processors,
-                            const std::vector<double>& cost_of_type,
-                            SchedPolicyKind policy_kind) {
+                            const std::vector<double>& cost_of_type) {
   SimResult out;
   const auto& nodes = rec.nodes();
   if (nodes.empty() || processors == 0) return out;
@@ -67,8 +55,7 @@ SimResult simulate_schedule(const GraphRecorder& rec, unsigned processors,
 
   for (std::size_t i = 0; i < nodes.size(); ++i) out.total_work += cost(i);
 
-  // Weighted critical path (bottom-up over a topological order). `finish`
-  // doubles as the top-level-inclusive distance fed to the aware ordering.
+  // Weighted critical path (bottom-up over a topological order).
   std::vector<double> finish(nodes.size(), 0.0);
   std::vector<std::size_t> order;
   {
@@ -93,38 +80,9 @@ SimResult simulate_schedule(const GraphRecorder& rec, unsigned processors,
     }
   }
 
-  // Ready ordering through the policy: SimNodes carry the critical-path
-  // fields (top-level inclusive in path_ns, bottom-level exclusive in
-  // bl_ns, so path + bl = the full path through the node), and the heap key
-  // is the policy's sim_order_key — {0, seq} for Paper reproduces the
-  // historical invocation-order Graham scheduler exactly.
-  PolicyTuning tu;
-  tu.nthreads = 1;
-  tu.kind = policy_kind;
-  const auto policy = make_policy<SimNode>(tu);
-  auto sim = std::make_unique<SimNode[]>(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    sim[i].seq = nodes[i].seq;
-    sim[i].type_id = nodes[i].type_id;
-    sim[i].path_ns.store(static_cast<std::uint64_t>(finish[i] * kCostScale),
-                         std::memory_order_relaxed);
-  }
-  if (policy_kind == SchedPolicyKind::Aware) {
-    std::vector<double> below(nodes.size(), 0.0);  // bottom level, exclusive
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const std::size_t u = *it;
-      for (std::size_t v : succs[u])
-        below[u] = std::max(below[u], below[v] + cost(v));
-    }
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-      sim[i].bl_ns.store(static_cast<std::uint64_t>(below[i] * kCostScale),
-                         std::memory_order_relaxed);
-  }
-  using Key = std::tuple<std::uint64_t, std::uint64_t, std::size_t>;
-  auto key_of = [&](std::size_t i) {
-    const auto k = policy->sim_order_key(&sim[i]);
-    return Key{k.first, k.second, i};
-  };
+  // Ready tasks ordered by invocation: (seq, index) keys in a min-heap.
+  using Key = std::pair<std::uint64_t, std::size_t>;
+  auto key_of = [&](std::size_t i) { return Key{nodes[i].seq, i}; };
 
   // Greedy list scheduling: the lowest-keyed ready task starts whenever a
   // processor is free; the earliest-finishing event drives time forward.
@@ -143,7 +101,7 @@ SimResult simulate_schedule(const GraphRecorder& rec, unsigned processors,
   std::size_t done = 0;
   while (done < nodes.size()) {
     while (!ready.empty() && busy < processors) {
-      std::size_t u = std::get<2>(ready.top());
+      std::size_t u = ready.top().second;
       ready.pop();
       running.emplace(now + cost(u), u);
       ++busy;
@@ -163,15 +121,15 @@ SimResult simulate_schedule(const GraphRecorder& rec, unsigned processors,
 }
 
 std::vector<std::uint64_t> simulate_policy_order(
-    const GraphRecorder& rec, const PolicyTuning& tuning, unsigned chain_depth,
+    const GraphRecorder& rec, SchedulerMode mode, unsigned chain_depth,
     const std::vector<std::uint8_t>& high_priority_types) {
   std::vector<std::uint64_t> out;
   const auto& nodes = rec.nodes();
   if (nodes.empty()) return out;
 
-  PolicyTuning tu = tuning;
-  tu.nthreads = 1;  // the replay is the single-worker regime by definition
-  const auto policy = make_policy<SimNode>(tu);
+  // The replay is the single-worker regime by definition, so the steal
+  // order never comes into play.
+  ReadyLists<SimNode> lists(1, mode, StealOrder::CreationOrder);
 
   std::unordered_map<std::uint64_t, std::size_t> index_of;
   index_of.reserve(nodes.size());
@@ -181,7 +139,6 @@ std::vector<std::uint64_t> simulate_policy_order(
   auto sim = std::make_unique<SimNode[]>(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     sim[i].seq = nodes[i].seq;
-    sim[i].type_id = nodes[i].type_id;
     sim[i].idx = i;
     sim[i].high_priority = nodes[i].type_id < high_priority_types.size() &&
                            high_priority_types[nodes[i].type_id] != 0;
@@ -190,10 +147,8 @@ std::vector<std::uint64_t> simulate_policy_order(
   // Pending counts come from ALL recorded edges, duplicates included: the
   // dependency analyzer records an edge exactly when add_successor really
   // raised the successor's pending count, so the replay's release
-  // arithmetic is the runtime's. True edges double as the on_submit
-  // predecessor list (producers of input versions).
+  // arithmetic is the runtime's.
   std::vector<std::vector<std::size_t>> succs(nodes.size());
-  std::vector<std::vector<std::size_t>> preds(nodes.size());
   std::vector<std::size_t> pending(nodes.size(), 0);
   for (const auto& e : rec.edges()) {
     auto f = index_of.find(e.from);
@@ -201,42 +156,27 @@ std::vector<std::uint64_t> simulate_policy_order(
     if (f == index_of.end() || t == index_of.end()) continue;
     succs[f->second].push_back(t->second);
     ++pending[t->second];
-    // Member edges join the predecessor list too: a group-close node must
-    // order after its members in the replay (completion edge), exactly as
-    // the runtime's close retire does.
-    if (e.kind == EdgeKind::True || e.kind == EdgeKind::Member)
-      preds[t->second].push_back(f->second);
   }
 
   // Phase 1 — submission in invocation order. In the modeled regime every
-  // submit precedes every execution, so the policy sees exactly what the
-  // runtime's policy saw: empty cost tables, no exec_tid votes, and
-  // dependency-free tasks enqueued at creation from the main thread
-  // (worker slot 0, not inside a task body).
-  std::vector<SimNode*> pv;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (policy->wants_submit_hook()) {
-      pv.clear();
-      for (std::size_t p : preds[i]) pv.push_back(&sim[p]);
-      policy->on_submit(&sim[i], pv.data(), pv.size());
-    }
-    if (pending[i] == 0) policy->enqueue_creation(&sim[i], 0, false);
-  }
+  // submit precedes every execution, so dependency-free tasks are enqueued
+  // at creation from the main thread (worker slot 0, not a nested child).
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    if (pending[i] == 0) lists.enqueue_creation(&sim[i], 0, false);
 
   // Phase 2 — the worker loop: acquire, run, release successors in the
   // runtime's reverse-of-record order, chain through single releases up to
-  // chain_depth unless the policy preempts (a pending high-priority task).
+  // chain_depth unless a pending high-priority task preempts.
   Xoshiro256 rng(0x5eedu);
   AcquireSource src = AcquireSource::None;
   unsigned attempts = 0;
   out.reserve(nodes.size());
   std::vector<SimNode*> released;
   while (out.size() < nodes.size()) {
-    SimNode* t = policy->acquire(0, rng, src, attempts);
+    SimNode* t = lists.acquire(0, rng, src, attempts);
     SMPSS_CHECK(t != nullptr,
                 "policy replay stalled: recorded graph incomplete?");
     for (unsigned hops = 0; t != nullptr; ++hops) {
-      t->exec_tid.store(0, std::memory_order_relaxed);
       out.push_back(t->seq);
       released.clear();
       const auto& ss = succs[t->idx];
@@ -245,12 +185,12 @@ std::vector<std::uint64_t> simulate_policy_order(
       SimNode* chain = nullptr;
       if (released.size() == 1) {
         SimNode* s = released[0];
-        if (hops < chain_depth && !policy->preempt_chain(s))
+        if (hops < chain_depth && !lists.preempt_chain(s))
           chain = s;
         else
-          policy->enqueue_released(s, 0);
+          lists.enqueue_released(s, 0);
       } else if (released.size() > 1) {
-        policy->enqueue_batch(released.data(), released.size(), 0);
+        lists.enqueue_batch(released.data(), released.size(), 0);
       }
       t = chain;
     }

@@ -21,7 +21,7 @@
 // staging cell before spawning the reader ("copy-in" = fetch). Within a
 // rank, dependencies flow through the rank's own analyzer exactly as in
 // single-process runs — renaming, version chains, lock-free publication and
-// scheduling policies all apply unchanged per shard.
+// the Sec. III scheduler all apply unchanged per shard.
 //
 // Progress. Every wait (a remote ready flag, a full ring, the coordinator's
 // retire count) pumps Runtime::help_one(), so each rank keeps executing its

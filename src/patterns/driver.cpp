@@ -45,8 +45,7 @@ std::string RunOptions::describe() const {
      << " nested=" << cfg.nested_tasks
      << " chain=" << cfg.chain_depth << " pool=" << cfg.pool_cache
      << " window=" << cfg.task_window
-     << " sched=" << to_string(cfg.scheduler_mode)
-     << " policy=" << to_string(cfg.sched_policy);
+     << " sched=" << to_string(cfg.scheduler_mode);
   if (cfg.procs > 1) os << " procs=" << cfg.procs;
   if (accum != AccumMode::None) os << " accum=" << to_string(accum);
   return os.str();

@@ -12,14 +12,15 @@ namespace {
 
 /// Every SMPSS_* variable from_env reads, and the settings retired since.
 constexpr std::string_view kSettings[] = {
-    "SMPSS_NUM_THREADS", "SMPSS_TASK_WINDOW",   "SMPSS_RENAME_MEMORY_MB",
-    "SMPSS_RENAMING",    "SMPSS_NESTED",        "SMPSS_CHAIN_DEPTH",
-    "SMPSS_POOL_CACHE",  "SMPSS_SCHEDULER",     "SMPSS_STEAL_ORDER",
-    "SMPSS_SCHED_POLICY", "SMPSS_PIN_THREADS",  "SMPSS_TRACE",
-    "SMPSS_RECORD_GRAPH", "SMPSS_STREAMS",      "SMPSS_STATS_PERIOD_MS",
-    "SMPSS_STATS_FILE",  "SMPSS_PROCS"};
+    "SMPSS_NUM_THREADS",  "SMPSS_TASK_WINDOW", "SMPSS_RENAME_MEMORY_MB",
+    "SMPSS_RENAMING",     "SMPSS_NESTED",      "SMPSS_CHAIN_DEPTH",
+    "SMPSS_POOL_CACHE",   "SMPSS_SCHEDULER",   "SMPSS_STEAL_ORDER",
+    "SMPSS_PIN_THREADS",  "SMPSS_TRACE",       "SMPSS_RECORD_GRAPH",
+    "SMPSS_STREAMS",      "SMPSS_STATS_PERIOD_MS", "SMPSS_STATS_FILE",
+    "SMPSS_PROCS"};
 constexpr std::string_view kRetired[] = {
-    "SMPSS_DEP_LOCKFREE", "SMPSS_DEP_SHARDS", "SMPSS_AWARE_CRIT_PPM",
+    "SMPSS_DEP_LOCKFREE",       "SMPSS_DEP_SHARDS",
+    "SMPSS_SCHED_POLICY",       "SMPSS_AWARE_CRIT_PPM",
     "SMPSS_AWARE_LOCALITY_PPM", "SMPSS_AWARE_COST_NS"};
 
 }  // namespace
@@ -43,8 +44,6 @@ Config Config::from_env() {
         *v == 0 ? SchedulerMode::Distributed : SchedulerMode::Centralized;
   if (auto v = env_choice("SMPSS_STEAL_ORDER", {"creation", "random"}))
     c.steal_order = *v == 0 ? StealOrder::CreationOrder : StealOrder::Random;
-  if (auto v = env_choice("SMPSS_SCHED_POLICY", {"paper", "aware"}))
-    c.sched_policy = *v == 0 ? SchedPolicyKind::Paper : SchedPolicyKind::Aware;
   if (auto v = env_bool("SMPSS_PIN_THREADS")) c.pin_threads = *v;
   if (auto v = env_bool("SMPSS_TRACE")) c.tracing = *v;
   if (auto v = env_bool("SMPSS_RECORD_GRAPH")) c.record_graph = *v;

@@ -12,7 +12,6 @@
 //   SMPSS_POOL_CACHE        task-pool blocks cached per worker (0 = malloc)
 //   SMPSS_SCHEDULER         distributed | centralized
 //   SMPSS_STEAL_ORDER       creation | random
-//   SMPSS_SCHED_POLICY      paper | aware (see sched/policy.hpp)
 //   SMPSS_PIN_THREADS       0/1
 //   SMPSS_TRACE             0/1 — record per-task timing events
 //   SMPSS_RECORD_GRAPH      0/1 — record nodes/edges for DOT export
@@ -23,9 +22,10 @@
 //                           multi-process backend (1 = single-process)
 //
 // A malformed value (SMPSS_NUM_THREADS=3x, SMPSS_RENAMING=maybe,
-// SMPSS_SCHED_POLICY=awre) is rejected whole with one stderr line naming it;
+// SMPSS_SCHEDULER=central) is rejected whole with one stderr line naming it;
 // the default stays. A set SMPSS_* name that is no setting (misspelled, or
-// retired like SMPSS_DEP_LOCKFREE) gets one such line too; the test and
+// retired like SMPSS_DEP_LOCKFREE and SMPSS_SCHED_POLICY) gets one such line
+// too; the test and
 // bench variables (SMPSS_TEST_*, SMPSS_FUZZ_*, SMPSS_BENCH_SCALE) are legal.
 #pragma once
 
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <string>
 
-#include "sched/policy.hpp"
 #include "sched/ready_lists.hpp"
 
 namespace smpss {
@@ -68,11 +67,13 @@ struct Config {
   bool nested_tasks = false;
 
   /// Retired knobs, kept as constants so existing readers (config echoes
-  /// in reports) still compile; assigning either is a compile error. The
+  /// in reports) still compile; assigning any is a compile error. The
   /// dependency pipeline is always the lock-free one, over a fixed 64-shard
-  /// entry-table layout (see dep/dependency_analyzer.hpp).
+  /// entry-table layout (see dep/dependency_analyzer.hpp), and the scheduler
+  /// is always the Sec. III ready lists (sched/ready_lists.hpp).
   static constexpr bool dep_lockfree = true;
   static constexpr unsigned dep_shards = 64;
+  static constexpr SchedPolicyKind sched_policy = SchedPolicyKind::Paper;
 
   /// Immediate-successor chaining bound: when completing a task releases
   /// exactly one successor (and no high-priority task is pending), the
@@ -88,25 +89,9 @@ struct Config {
   /// baseline).
   unsigned pool_cache = 64;
 
+  /// The paper's two scheduler ablations (sched/ready_lists.hpp).
   SchedulerMode scheduler_mode = SchedulerMode::Distributed;
   StealOrder steal_order = StealOrder::CreationOrder;
-
-  /// Scheduling policy (sched/policy.hpp): Paper is the Sec. III lists
-  /// verbatim; Aware layers cost-EWMA feedback, critical-path promotion,
-  /// locality placement, and topology-near stealing on the same skeleton.
-  SchedPolicyKind sched_policy = SchedPolicyKind::Paper;
-
-  /// The scheduler-policy slice of this Config (sched/ stays independent of
-  /// runtime/ headers). Call after normalize().
-  PolicyTuning policy_tuning() const {
-    PolicyTuning tu;
-    tu.nthreads = num_threads;
-    tu.mode = scheduler_mode;
-    tu.steal_order = steal_order;
-    tu.nested_tasks = nested_tasks;
-    tu.kind = sched_policy;
-    return tu;
-  }
 
   /// Record task nodes/edges for DOT export and graph statistics.
   bool record_graph = false;

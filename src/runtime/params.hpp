@@ -74,18 +74,14 @@ struct ReductionParam {
   ReductionOp op;
 };
 
-/// Optional per-spawn hints, passed as the first spawn argument:
+/// Optional per-spawn attributes, passed as the first spawn argument:
 ///
-///     rt.spawn(smpss::TaskAttrs{.weight = 2500, .name = "potrf"},
-///              type, body, smpss::inout(blk, n));
+///     rt.spawn(smpss::TaskAttrs{.name = "potrf"}, body, smpss::inout(blk, n));
 ///
-/// `weight` is the user's execution-cost estimate in nanoseconds; the aware
-/// scheduling policy prefers it over its cost-EWMA until real measurements
-/// arrive (and the paper policy ignores it). `name` labels the task in
-/// traces. Both default to "no hint".
+/// `name` selects the registered task type of that name when the spawn
+/// names no TaskType (nullptr, the default, = the anonymous type).
 struct TaskAttrs {
-  std::uint64_t weight = 0;    ///< cost hint in ns (0 = no hint)
-  const char* name = nullptr;  ///< trace/debug label (nullptr = type name)
+  const char* name = nullptr;  ///< registered task-type name to resolve
 };
 
 // --- reduction operator tags -------------------------------------------------

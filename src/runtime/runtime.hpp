@@ -65,7 +65,6 @@
 #include "runtime/stream.hpp"
 #include "sched/admission.hpp"
 #include "sched/idle_wait.hpp"
-#include "sched/policy.hpp"
 #include "sched/ready_lists.hpp"
 #include "trace/tracer.hpp"
 
@@ -112,24 +111,6 @@ class Runtime {
   /// same order.
   template <typename F, detail::TaskParam... Ps>
   void spawn(TaskType type, F&& fn, Ps&&... ps) {
-    spawn(TaskAttrs{}, type, std::forward<F>(fn), std::forward<Ps>(ps)...);
-  }
-
-  /// Spawn with the default (anonymous) task type.
-  template <typename F, detail::TaskParam... Ps>
-    requires(!std::is_same_v<std::decay_t<F>, TaskType> &&
-             !std::is_same_v<std::decay_t<F>, TaskAttrs>)
-  void spawn(F&& fn, Ps&&... ps) {
-    spawn(TaskAttrs{}, TaskType{0}, std::forward<F>(fn),
-          std::forward<Ps>(ps)...);
-  }
-
-  /// Spawn with scheduling hints. `attrs.weight` (ns) seeds the aware
-  /// policy's cost estimate for this one task (0 = use the learned per-type
-  /// estimate); `attrs.name` labels the task for the no-TaskType overload
-  /// below. Hints never change semantics, only placement/ordering.
-  template <typename F, detail::TaskParam... Ps>
-  void spawn(TaskAttrs attrs, TaskType type, F&& fn, Ps&&... ps) {
     if (!cfg_.nested_tasks && (!on_main_thread() || in_task_context())) {
       // Sec. VII.D: a task call inside a task is a normal function call.
       // The check covers worker threads AND the main thread while it is
@@ -138,18 +119,33 @@ class Runtime {
       inlined_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    submit_task(type, attrs.weight, /*stream=*/nullptr, /*future=*/nullptr,
+    submit_task(type, /*stream=*/nullptr, /*future=*/nullptr,
                 std::forward<F>(fn), std::forward<Ps>(ps)...);
   }
 
-  /// Spawn with hints but no explicit TaskType: `attrs.name`, when set,
+  /// Spawn with the default (anonymous) task type.
+  template <typename F, detail::TaskParam... Ps>
+    requires(!std::is_same_v<std::decay_t<F>, TaskType> &&
+             !std::is_same_v<std::decay_t<F>, TaskAttrs>)
+  void spawn(F&& fn, Ps&&... ps) {
+    spawn(TaskType{0}, std::forward<F>(fn), std::forward<Ps>(ps)...);
+  }
+
+  /// Spawn with attributes and an explicit TaskType: the type wins and
+  /// `attrs.name` is not consulted.
+  template <typename F, detail::TaskParam... Ps>
+  void spawn(TaskAttrs, TaskType type, F&& fn, Ps&&... ps) {
+    spawn(type, std::forward<F>(fn), std::forward<Ps>(ps)...);
+  }
+
+  /// Spawn with attributes but no explicit TaskType: `attrs.name`, when set,
   /// selects the registered type of that name (anonymous type otherwise).
   template <typename F, detail::TaskParam... Ps>
     requires(!std::is_same_v<std::decay_t<F>, TaskType>)
   void spawn(TaskAttrs attrs, F&& fn, Ps&&... ps) {
     const TaskType type =
         attrs.name != nullptr ? find_task_type(attrs.name) : TaskType{0};
-    spawn(attrs, type, std::forward<F>(fn), std::forward<Ps>(ps)...);
+    spawn(type, std::forward<F>(fn), std::forward<Ps>(ps)...);
   }
 
   /// Look up a registered task type by name; TaskType{0} (the anonymous
@@ -262,8 +258,8 @@ class Runtime {
   /// (`stream` set) is admitted first — admission is its Sec. III blocking
   /// condition — and may carry a `future` whose task-side ref it takes.
   template <typename F, typename... Ps>
-  void submit_task(TaskType type, std::uint64_t weight, StreamState* stream,
-                   FutureState* future, F&& fn, Ps&&... ps) {
+  void submit_task(TaskType type, StreamState* stream, FutureState* future,
+                   F&& fn, Ps&&... ps) {
     SMPSS_CHECK(type.id < types_.size(), "unregistered task type");
     if (stream != nullptr) stream_admit(*stream);
     // Pool slot of the submitting thread; kForeignTid (>= num_threads)
@@ -272,7 +268,6 @@ class Runtime {
     TaskNode* t = allocate_task(alloc_slot);
     t->type_id = type.id;
     t->high_priority = types_[type.id].high_priority;
-    t->weight = weight;
     if (stream != nullptr) {
       t->stream = stream;
       t->account = &stream->account;
@@ -324,11 +319,6 @@ class Runtime {
 
   void enqueue_ready(TaskNode* t, unsigned tid, bool at_creation);
   TaskNode* acquire(unsigned tid);
-
-  /// Policy submission hook: collect the producers of this task's input
-  /// versions and hand them to the policy (critical-path + locality state).
-  /// Must run before the creation guard is released. No-op for PaperPolicy.
-  void policy_submit(TaskNode* t);
 
   /// Run `t`, then keep running immediate successors (Config::chain_depth)
   /// as the completions release them — each retire is still complete and in
@@ -398,11 +388,9 @@ class Runtime {
   GraphRecorder recorder_;
   DependencyAnalyzer dep_;
   RegionAnalyzer regions_;
-  /// Owner of every placement/ordering/steal decision (sched/policy.hpp):
-  /// PaperPolicy wraps the Sec. III ReadyLists verbatim; AwarePolicy adds
-  /// cost-, critical-path-, and locality-aware placement
-  /// (Config::sched_policy / SMPSS_SCHED_POLICY).
-  std::unique_ptr<SchedulerPolicy<TaskNode>> policy_;
+  /// The Sec. III ready lists: owner of every placement, lookup and steal
+  /// decision (sched/ready_lists.hpp).
+  ReadyLists<TaskNode> lists_;
   IdleGate gate_;
   Tracer tracer_;
 
@@ -476,7 +464,7 @@ template <typename F, detail::TaskParam... Ps>
 TaskFuture StreamHandle::submit(TaskType type, F&& fn, Ps&&... ps) {
   SMPSS_CHECK(s_ != nullptr, "submit() on an invalid StreamHandle");
   auto* f = new FutureState(rt_);  // refs: the task's and the handle's
-  rt_->submit_task(type, /*weight=*/0, s_, f, std::forward<F>(fn),
+  rt_->submit_task(type, s_, f, std::forward<F>(fn),
                    std::forward<Ps>(ps)...);
   return TaskFuture(f);
 }
@@ -490,8 +478,8 @@ TaskFuture StreamHandle::submit(F&& fn, Ps&&... ps) {
 template <typename F, detail::TaskParam... Ps>
 void StreamHandle::post(TaskType type, F&& fn, Ps&&... ps) {
   SMPSS_CHECK(s_ != nullptr, "post() on an invalid StreamHandle");
-  rt_->submit_task(type, /*weight=*/0, s_, /*future=*/nullptr,
-                   std::forward<F>(fn), std::forward<Ps>(ps)...);
+  rt_->submit_task(type, s_, /*future=*/nullptr, std::forward<F>(fn),
+                   std::forward<Ps>(ps)...);
 }
 
 template <typename F, detail::TaskParam... Ps>

@@ -104,7 +104,6 @@ std::string Runtime::stats_json(double tasks_per_s) const {
   append_u64(out, "idle_ns", s.idle_ns);
   append_u64(out, "locality_hits", s.locality_hits);
   append_u64(out, "locality_misses", s.locality_misses);
-  append_u64(out, "sched_promotions", s.sched_promotions);
   out += "\"workers\":[";
   for (std::size_t i = 0; i < s.workers.size(); ++i) {
     const WorkerStatsRow& w = s.workers[i];

@@ -2,8 +2,8 @@
 // "conflicts": mutual exclusion without ordering). A task whose parameters
 // include Dir::Commutative accesses carries one ConflictToken* per group in
 // TaskNode::conflicts; the scheduler driver acquires them all-or-nothing
-// around the policy's acquire (see SchedulerPolicy::acquire's contract in
-// sched/policy.hpp) and releases them right after the task body runs.
+// right after a ready-list acquire (Runtime::acquire) and releases them
+// right after the task body runs.
 //
 // A ready-but-conflicted task is *deferred*, never spun on: the driver parks
 // it on the busy token's waiter stack (a Treiber stack threaded through

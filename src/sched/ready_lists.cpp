@@ -18,4 +18,11 @@ const char* to_string(StealOrder o) noexcept {
   return "?";
 }
 
+const char* to_string(SchedPolicyKind k) noexcept {
+  switch (k) {
+    case SchedPolicyKind::Paper: return "paper";
+  }
+  return "?";
+}
+
 }  // namespace smpss

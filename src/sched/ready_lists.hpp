@@ -15,6 +15,13 @@
 // collapses the per-worker lists into the main FIFO (the SuperMatrix-style
 // single ready queue of Sec. VII.C), and StealOrder::Random replaces the
 // creation-order victim walk.
+//
+// ReadyLists<T> is the runtime's one scheduler: it owns placement
+// (enqueue_creation / enqueue_released / enqueue_batch), lookup (acquire)
+// and the chain-preemption probe. The node type T supplies queue_next (the
+// intrusive FIFO link), high_priority and pref_tid. TaskNode is the runtime
+// instantiation; graph/sched_sim drives the same code over its
+// lightweight SimNode, so the simulator replays the real placement rules.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +31,7 @@
 #include "common/cache.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/small_vector.hpp"
 #include "sched/chase_lev_deque.hpp"
 #include "sched/mpmc_queue.hpp"
 
@@ -39,8 +47,15 @@ enum class StealOrder : unsigned char {
   Random,         ///< victims visited in random order (ablation)
 };
 
+/// The scheduling policy: only the Sec. III lists. Kept as a one-value enum
+/// so configuration echoes still name the policy they ran.
+enum class SchedPolicyKind : unsigned char {
+  Paper,  ///< Sec. III lists verbatim
+};
+
 const char* to_string(SchedulerMode m) noexcept;
 const char* to_string(StealOrder o) noexcept;
+const char* to_string(SchedPolicyKind k) noexcept;
 
 /// Result detail of an acquire, for the steal statistics.
 enum class AcquireSource : unsigned char {
@@ -51,9 +66,22 @@ enum class AcquireSource : unsigned char {
   Steal,
 };
 
+/// Where an enqueue landed. The Runtime owns the wakeup protocol (it holds
+/// the gate), so the lists report placement and the Runtime decides whether
+/// to notify: High/Main always wake one sleeper; Local only when a backlog
+/// builds up that a thief could take.
+enum class Placed : unsigned char {
+  High,   ///< shared high-priority FIFO
+  Main,   ///< shared main FIFO
+  Local,  ///< the enqueuing worker's own list
+};
+
 template <typename T>
 class ReadyLists {
  public:
+  /// "No owning worker": foreign submitters, and the unset pref_tid.
+  static constexpr unsigned kNoWorker = ~0u;
+
   ReadyLists(unsigned nthreads, SchedulerMode mode, StealOrder order)
       : nthreads_(nthreads), mode_(mode), order_(order) {
     SMPSS_CHECK(nthreads >= 1, "need at least one thread");
@@ -92,10 +120,65 @@ class ReadyLists {
     }
   }
 
-  /// Racy emptiness of the high-priority list. Chaining consults this: a
-  /// pending high-priority task must preempt a normal-priority chain, so a
-  /// completion never chains past it (see Runtime::execute_task).
-  bool high_pending() const noexcept { return !high_.empty_estimate(); }
+  /// Task ready at creation: submitted with no unsatisfied inputs. `tid` is
+  /// the submitter's worker slot (kNoWorker for foreign threads);
+  /// `nested_child` reports a real nested spawn from inside a task body.
+  Placed enqueue_creation(T* t, unsigned tid, bool nested_child) {
+    if (t->high_priority) {
+      push_high(t);
+      return Placed::High;
+    }
+    // Nested children ready at creation go to the spawning worker's own
+    // list: the child operates on data the parent just touched, so this is
+    // the same locality argument Sec. III makes for last-dependence-removed
+    // tasks. Main-thread and foreign-thread submissions keep the paper's
+    // main-list distribution behavior.
+    if (nested_child && tid != kNoWorker) {
+      t->pref_tid = tid;
+      push_local(tid, t);
+      return Placed::Local;
+    }
+    push_main(t);
+    return Placed::Main;
+  }
+
+  /// Task whose last input dependence was removed by worker `tid`.
+  Placed enqueue_released(T* t, unsigned tid) {
+    if (t->high_priority) {
+      push_high(t);
+      return Placed::High;
+    }
+    // "Each worker thread has its own ready list that contains tasks whose
+    // last input dependency has been removed by that thread."
+    t->pref_tid = tid;
+    push_local(tid, t);
+    return Placed::Local;
+  }
+
+  /// Batched release: one completion released `n >= 2` tasks; publish them
+  /// with one list operation per destination (the caller issues at most one
+  /// wakeup for the whole set).
+  void enqueue_batch(T* const* ts, std::size_t n, unsigned tid) {
+    SmallVector<T*, 8> normal;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ts[i]->high_priority) {
+        push_high(ts[i]);
+      } else {
+        ts[i]->pref_tid = tid;
+        normal.push_back(ts[i]);
+      }
+    }
+    push_local_batch(tid, normal.begin(), normal.size());
+  }
+
+  /// Must a pending high-priority task preempt chaining into `next`? A
+  /// completion never chains a normal-priority task past a pending
+  /// high-priority one (see Runtime::execute_task); a high-priority
+  /// successor is exempt — running it immediately IS the soonest possible
+  /// dispatch. The high-list probe is racy by design.
+  bool preempt_chain(const T* next) const noexcept {
+    return !next->high_priority && !high_.empty_estimate();
+  }
 
   /// One full pass of the Sec. III lookup policy. `source` reports where the
   /// task came from (None on failure); `steal_attempts` counts victims

@@ -297,40 +297,36 @@ std::size_t occurrences(const std::string& hay, const std::string& needle) {
 TEST(Env, ChoiceSettingsParse) {
   std::string err;
   const Config c = from_env_with({{"SMPSS_SCHEDULER", "centralized"},
-                                  {"SMPSS_STEAL_ORDER", "random"},
-                                  {"SMPSS_SCHED_POLICY", "aware"}},
+                                  {"SMPSS_STEAL_ORDER", "random"}},
                                  err);
   EXPECT_EQ(c.scheduler_mode, SchedulerMode::Centralized);
   EXPECT_EQ(c.steal_order, StealOrder::Random);
-  EXPECT_EQ(c.sched_policy, SchedPolicyKind::Aware);
   EXPECT_TRUE(err.empty()) << err;
 }
 
 TEST(Env, UnknownChoiceRejectedWithOneDiagnostic) {
   // Regression: an unknown value used to be ignored silently, so a typo
-  // like SMPSS_SCHED_POLICY=awre ran the paper policy.
+  // like SMPSS_SCHEDULER=central ran the distributed scheduler.
   const Config defaults;
   std::string err;
   const Config c = from_env_with({{"SMPSS_SCHEDULER", "central"},
-                                  {"SMPSS_STEAL_ORDER", "Random"},
-                                  {"SMPSS_SCHED_POLICY", "awre"}},
+                                  {"SMPSS_STEAL_ORDER", "Random"}},
                                  err);
   EXPECT_EQ(c.scheduler_mode, defaults.scheduler_mode);
   EXPECT_EQ(c.steal_order, defaults.steal_order);
-  EXPECT_EQ(c.sched_policy, defaults.sched_policy);
   for (const char* line :
        {"smpss: ignoring SMPSS_SCHEDULER=\"central\" "
         "(expected distributed|centralized)\n",
         "smpss: ignoring SMPSS_STEAL_ORDER=\"Random\" "
-        "(expected creation|random)\n",
-        "smpss: ignoring SMPSS_SCHED_POLICY=\"awre\" (expected paper|aware)\n"})
+        "(expected creation|random)\n"})
     EXPECT_EQ(occurrences(err, line), 1u) << err;
-  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 3) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 2) << err;
 }
 
 TEST(Env, UnknownAndRetiredNamesDiagnosed) {
   std::string err;
   const Config c = from_env_with({{"SMPSS_DEP_LOCKFREE", "1"},
+                                  {"SMPSS_SCHED_POLICY", "paper"},
                                   {"SMPSS_AWARE_CRIT_PPM", "2000000"},
                                   {"SMPSS_AWARE_LOCALITY_PPM", "1"},
                                   {"SMPSS_AWARE_COST_NS", "5"},
@@ -338,11 +334,12 @@ TEST(Env, UnknownAndRetiredNamesDiagnosed) {
                                   {"SMPSS_NUM_THREADS", "3"}},
                                  err);
   EXPECT_EQ(c.num_threads, 3u);
-  for (const char* name : {"SMPSS_DEP_LOCKFREE", "SMPSS_AWARE_CRIT_PPM",
-                           "SMPSS_AWARE_LOCALITY_PPM", "SMPSS_AWARE_COST_NS"})
+  for (const char* name :
+       {"SMPSS_DEP_LOCKFREE", "SMPSS_SCHED_POLICY", "SMPSS_AWARE_CRIT_PPM",
+        "SMPSS_AWARE_LOCALITY_PPM", "SMPSS_AWARE_COST_NS"})
     EXPECT_EQ(occurrences(err, std::string(name) + "=\""), 1u)
         << name << ": " << err;
-  EXPECT_EQ(occurrences(err, "(retired setting)\n"), 4u) << err;
+  EXPECT_EQ(occurrences(err, "(retired setting)\n"), 5u) << err;
   EXPECT_EQ(occurrences(err, "smpss: ignoring SMPSS_NUM_THREAD=\"2\" "
                              "(unknown setting)\n"),
             1u)

@@ -315,11 +315,6 @@ TEST(PageRank, InoutMatchesSequentialOracle) {
 TEST(PageRank, SingleThreadCommutative) {
   check_pagerank(threads(1), /*use_commutative=*/true);
 }
-TEST(PageRank, AwarePolicy) {
-  Config c = threads(4);
-  c.sched_policy = SchedPolicyKind::Aware;
-  check_pagerank(c, /*use_commutative=*/true);
-}
 TEST(PageRank, RenamingOffCommutative) {
   Config c = threads(4);
   c.renaming = false;

@@ -117,11 +117,19 @@ TEST(GraphStats, RecordedRuntimeGraphMatchesSpawnStructure) {
 
 // --- per-worker scheduling counters (StatsSnapshot::workers) -----------------
 
+std::size_t occurrences(const std::string& hay, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto p = hay.find(needle); p != std::string::npos;
+       p = hay.find(needle, p + 1))
+    ++n;
+  return n;
+}
+
 TEST(RuntimeWorkerStats, SingleThreadChainRowsAreExact) {
   Config c;
   c.num_threads = 1;
   // chain_depth = 0 forces every released successor through the ready lists,
-  // where the policy stamps its placement preference (chained tasks bypass
+  // where placement stamps its preference (chained tasks bypass
   // enqueue entirely and carry no preference).
   c.chain_depth = 0;
   Runtime rt(c);
@@ -152,8 +160,16 @@ TEST(RuntimeWorkerStats, SingleThreadChainRowsAreExact) {
   EXPECT_EQ(s.acquired_high, w.acquired_high);
   EXPECT_EQ(s.acquired_own, w.acquired_own);
   EXPECT_EQ(s.acquired_main, w.acquired_main);
-  // The paper policy never promotes on priority.
-  EXPECT_EQ(s.sched_promotions, 0u);
+
+  // The JSON exporter carries the aggregates and one row per worker; with
+  // one worker and a quiesced runtime the locality counts are exact.
+  const std::string json = rt.stats_json();
+  EXPECT_NE(json.find("\"workers\":["), std::string::npos) << json;
+  EXPECT_NE(json.find("\"idle_ns\":"), std::string::npos) << json;
+  const std::string hits =
+      "\"locality_hits\":" + std::to_string(kN - 1) + ",";
+  EXPECT_EQ(occurrences(json, hits), 2u) << json;  // aggregate + row
+  EXPECT_EQ(occurrences(json, "\"locality_misses\":0,"), 2u) << json;
 }
 
 TEST(RuntimeWorkerStats, AggregatesEqualRowSumsAcrossWorkers) {
@@ -195,39 +211,6 @@ TEST(RuntimeWorkerStats, AggregatesEqualRowSumsAcrossWorkers) {
   EXPECT_EQ(s.locality_hits, sum.locality_hits);
   EXPECT_EQ(s.locality_misses, sum.locality_misses);
   EXPECT_EQ(s.chained_executions, sum.chained);
-}
-
-TEST(RuntimeWorkerStats, AwarePolicyCountsPromotionsAndExportsJson) {
-  Config c;
-  c.num_threads = 1;
-  c.chain_depth = 0;
-  c.sched_policy = SchedPolicyKind::Aware;
-  Runtime rt(c);
-  // A long serial chain (growing critical-path priority) against a backdrop
-  // of independent unit tasks (flat priority): the chain's enqueues must
-  // cross the promotion threshold once the EWMA settles around the flat
-  // tasks' priority.
-  long chain = 0;
-  std::vector<long> flat(16 * 8, 0);
-  std::size_t k = 0;
-  for (int step = 0; step < 16; ++step) {
-    rt.spawn([](long* p) { *p += 1; }, inout(&chain));
-    for (int j = 0; j < 8; ++j) rt.spawn([](long* p) { *p = 1; }, out(&flat[k++]));
-  }
-  rt.barrier();
-  EXPECT_EQ(chain, 16);
-
-  auto s = rt.stats();
-  EXPECT_EQ(s.tasks_executed, 16u * 9u);
-  EXPECT_GT(s.sched_promotions, 0u);
-  EXPECT_EQ(s.acquired_high, s.sched_promotions);
-
-  const std::string json = rt.stats_json();
-  EXPECT_NE(json.find("\"workers\":["), std::string::npos);
-  EXPECT_NE(json.find("\"locality_hits\":"), std::string::npos);
-  EXPECT_NE(json.find("\"locality_misses\":"), std::string::npos);
-  EXPECT_NE(json.find("\"idle_ns\":"), std::string::npos);
-  EXPECT_NE(json.find("\"sched_promotions\":"), std::string::npos);
 }
 
 }  // namespace

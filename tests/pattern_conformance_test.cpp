@@ -5,7 +5,7 @@
 // region mode and swept through the runtime's configuration axes — nested
 // submission on/off (flat and per-step generator-task shapes), renaming
 // on/off (also under nested submitters), chain depth 0/1/default, pooling
-// on/off, small task windows, both schedulers and both scheduling policies —
+// on/off, small task windows, both schedulers —
 // and the final memory image must be
 // bit-identical to the sequential oracle every time. Any missed or phantom
 // dependency, lost rename copy, or torn cell in any configuration shows up
@@ -103,22 +103,6 @@ const Variant kSweep[] = {
      [](RunOptions& o) {
        o.cfg.nested_tasks = true;
        o.cfg.chain_depth = 0;
-     }},
-    // Aware scheduling policy: placement and ordering change completely
-    // (cost EWMA, critical-path promotion, locality routing, per-worker
-    // deques) but the dataflow must not. Crossed with both nested shapes.
-    {"aware",
-     [](RunOptions& o) { o.cfg.sched_policy = SchedPolicyKind::Aware; }},
-    {"aware_nested",
-     [](RunOptions& o) {
-       o.cfg.sched_policy = SchedPolicyKind::Aware;
-       o.cfg.nested_tasks = true;
-     }},
-    {"aware_nested_steps",
-     [](RunOptions& o) {
-       o.cfg.sched_policy = SchedPolicyKind::Aware;
-       o.cfg.nested_tasks = true;
-       o.shape = SubmitShape::NestedSteps;
      }},
     // Multi-process rows (SMPSS_PROCS > 1): the dependency manager sharded
     // by datum hash across fork()ed ranks over shared memory. Address-mode
@@ -254,8 +238,8 @@ TEST(PatternConformance, Spread) {
 // land on oracle_step_sums exactly — wrapping uint64 addition commutes, so
 // any member order that respects mutual exclusion is correct and any torn
 // update, lost wakeup, double combine, or missed private shows up as a sum
-// mismatch. Swept across paper/aware and flat/nested submission (with and
-// without renaming), the axes whose acquire paths differ.
+// mismatch. Swept across flat/nested submission (with and without
+// renaming), the axes whose acquire paths differ.
 
 struct AccumVariant {
   const char* name;
@@ -264,8 +248,6 @@ struct AccumVariant {
 
 const AccumVariant kAccumSweep[] = {
     {"paper", [](RunOptions&) {}},
-    {"aware",
-     [](RunOptions& o) { o.cfg.sched_policy = SchedPolicyKind::Aware; }},
     {"threads1", [](RunOptions& o) { o.cfg.num_threads = 1; }},
     {"renaming_off", [](RunOptions& o) { o.cfg.renaming = false; }},
     {"chain0", [](RunOptions& o) { o.cfg.chain_depth = 0; }},
@@ -430,12 +412,12 @@ RunOptions random_options(Xoshiro256& rng, const PatternSpec& spec) {
   o.cfg.chain_depth = std::array<unsigned, 3>{0, 1, 16}[rng.next_below(3)];
   o.cfg.pool_cache = rng.next_below(2) ? 64u : 0u;
   o.cfg.task_window = std::array<std::size_t, 3>{4, 16, 8192}[rng.next_below(3)];
-  // Two retired axes (dependency shard count, locked pipeline): still drawn
-  // and discarded so every seed's remaining axes stay what they were.
+  // Three retired axes (dependency shard count, locked pipeline, scheduling
+  // policy): still drawn and discarded so every seed's remaining axes stay
+  // what they were.
   rng.next_below(2);
   rng.next_below(2);
-  o.cfg.sched_policy =
-      rng.next_below(2) ? SchedPolicyKind::Aware : SchedPolicyKind::Paper;
+  rng.next_below(2);
   o.cfg.nested_tasks = rng.next_below(2) == 0;
   if (o.cfg.nested_tasks && rng.next_below(2) == 0) {
     o.shape = SubmitShape::NestedSteps;
@@ -525,8 +507,7 @@ void run_service_fuzz_seed(std::uint64_t seed) {
   // random_options).
   rng.next_below(2);
   rng.next_below(2);
-  cfg.sched_policy =
-      rng.next_below(2) ? SchedPolicyKind::Aware : SchedPolicyKind::Paper;
+  rng.next_below(2);
   const int nstreams = 2 + static_cast<int>(rng.next_below(3));  // 2..4
 
   struct Client {

@@ -111,86 +111,50 @@ TEST(SchedSimPolicyReplay, MatchesRuntimeOrderSingleWorker) {
   // window larger than the graph, so every submission precedes every
   // execution. The program mixes lane chains (single-release chaining), a
   // shared reduction (multi-release batches), and high-priority injections
-  // (preempt_chain coverage); the simulator, driving the real policy
-  // implementation, must reproduce the runtime's execution order task for
-  // task — under both policies and with chaining off and on.
-  for (SchedPolicyKind kind :
-       {SchedPolicyKind::Paper, SchedPolicyKind::Aware}) {
-    for (unsigned depth : {0u, 16u}) {
-      Config cfg;
-      cfg.num_threads = 1;
-      cfg.record_graph = true;
-      cfg.tracing = true;
-      cfg.chain_depth = depth;
-      cfg.sched_policy = kind;
-      Runtime rt(cfg);
-      TaskType urgent = rt.register_task_type("urgent", true);
+  // (preempt_chain coverage); the simulator, driving the runtime's own
+  // ReadyLists code, must reproduce the runtime's execution order task for
+  // task — with chaining off and on.
+  for (unsigned depth : {0u, 16u}) {
+    Config cfg;
+    cfg.num_threads = 1;
+    cfg.record_graph = true;
+    cfg.tracing = true;
+    cfg.chain_depth = depth;
+    Runtime rt(cfg);
+    TaskType urgent = rt.register_task_type("urgent", true);
 
-      constexpr int kLanes = 4;
-      constexpr int kSteps = 12;
-      std::vector<unsigned long> lanes(kLanes, 1);
-      unsigned long total = 0;
-      static int dummy = 0;
-      for (int s = 0; s < kSteps; ++s) {
-        for (int l = 0; l < kLanes; ++l)
-          rt.spawn(
-              [s](unsigned long* p) {
-                *p = *p * 5 + static_cast<unsigned>(s);
-              },
-              inout(&lanes[static_cast<std::size_t>(l)]));
-        for (int l = 0; l < kLanes; ++l)
-          rt.spawn(
-              [](const unsigned long* p, unsigned long* acc) {
-                *acc += *p % 9;
-              },
-              in(&lanes[static_cast<std::size_t>(l)]), inout(&total));
-        if (s % 3 == 0)
-          rt.spawn(urgent, [](const int* d) { (void)d; }, opaque(&dummy));
-      }
-      rt.barrier();
-
-      std::vector<std::uint64_t> real;
-      for (const auto& e : rt.tracer().collect())  // sorted by start time
-        real.push_back(e.seq);
-
-      std::vector<std::uint8_t> high(urgent.id + 1, 0);
-      high[urgent.id] = 1;
-      const auto sim =
-          simulate_policy_order(rt.graph_recorder(), cfg.policy_tuning(),
-                                cfg.chain_depth, high);
-      ASSERT_EQ(sim.size(), real.size())
-          << "policy=" << to_string(kind) << " depth=" << depth;
-      EXPECT_EQ(sim, real) << "simulated order diverged from the runtime "
-                           << "(policy=" << to_string(kind)
-                           << " depth=" << depth << ")";
+    constexpr int kLanes = 4;
+    constexpr int kSteps = 12;
+    std::vector<unsigned long> lanes(kLanes, 1);
+    unsigned long total = 0;
+    static int dummy = 0;
+    for (int s = 0; s < kSteps; ++s) {
+      for (int l = 0; l < kLanes; ++l)
+        rt.spawn(
+            [s](unsigned long* p) { *p = *p * 5 + static_cast<unsigned>(s); },
+            inout(&lanes[static_cast<std::size_t>(l)]));
+      for (int l = 0; l < kLanes; ++l)
+        rt.spawn(
+            [](const unsigned long* p, unsigned long* acc) {
+              *acc += *p % 9;
+            },
+            in(&lanes[static_cast<std::size_t>(l)]), inout(&total));
+      if (s % 3 == 0)
+        rt.spawn(urgent, [](const int* d) { (void)d; }, opaque(&dummy));
     }
-  }
-}
+    rt.barrier();
 
-TEST(SchedSimPolicy, AwareKeyKeepsMakespanBounds) {
-  // The aware ordering changes which ready task starts first, never the
-  // validity of the schedule: both lower bounds still hold, and on a plain
-  // chain the two policies agree exactly.
-  auto c = chain(10);
-  for (unsigned p : {1u, 4u}) {
-    auto r = simulate_schedule(c, p, {}, SchedPolicyKind::Aware);
-    EXPECT_DOUBLE_EQ(r.makespan, 10.0);
-  }
-  GraphRecorder rec;
-  rec.set_enabled(true);
-  // A wide fork with one long spine: critical-path ordering starts the
-  // spine immediately, so the aware makespan can only match or beat paper.
-  for (int i = 1; i <= 20; ++i)
-    rec.record_node(static_cast<std::uint64_t>(i), 0);
-  for (int i = 2; i <= 8; ++i)  // spine 1 -> 2 -> ... -> 8
-    rec.record_edge(static_cast<std::uint64_t>(i - 1),
-                    static_cast<std::uint64_t>(i), EdgeKind::True);
-  for (unsigned p : {2u, 4u}) {
-    auto aware = simulate_schedule(rec, p, {}, SchedPolicyKind::Aware);
-    auto paper = simulate_schedule(rec, p, {}, SchedPolicyKind::Paper);
-    EXPECT_GE(aware.makespan + 1e-9, aware.critical_path);
-    EXPECT_GE(aware.makespan + 1e-9, aware.total_work / p);
-    EXPECT_LE(aware.makespan, paper.makespan + 1e-9);
+    std::vector<std::uint64_t> real;
+    for (const auto& e : rt.tracer().collect())  // sorted by start time
+      real.push_back(e.seq);
+
+    std::vector<std::uint8_t> high(urgent.id + 1, 0);
+    high[urgent.id] = 1;
+    const auto sim = simulate_policy_order(
+        rt.graph_recorder(), cfg.scheduler_mode, cfg.chain_depth, high);
+    ASSERT_EQ(sim.size(), real.size()) << "depth=" << depth;
+    EXPECT_EQ(sim, real) << "simulated order diverged from the runtime "
+                         << "(depth=" << depth << ")";
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <thread>
 #include <vector>
@@ -247,6 +248,59 @@ TEST_F(ReadyListsPolicy, MaybeHasWorkEstimates) {
   Item a(1);
   rl.push_local(1, &a);
   EXPECT_TRUE(rl.maybe_has_work());
+}
+
+/// The placement fields ReadyLists' enqueue rules read and write.
+struct Placeable {
+  explicit Placeable(int v, bool high = false)
+      : value(v), high_priority(high) {}
+  int value;
+  bool high_priority;
+  std::uint32_t pref_tid = ~0u;
+  Placeable* queue_next = nullptr;
+};
+
+TEST_F(ReadyListsPolicy, CreationPlacement) {
+  ReadyLists<Placeable> rl(2, SchedulerMode::Distributed,
+                           StealOrder::CreationOrder);
+  constexpr unsigned kNone = ReadyLists<Placeable>::kNoWorker;
+  Placeable high(1, true), top(2), nested(3), foreign(4);
+  EXPECT_EQ(rl.enqueue_creation(&high, 1, true), Placed::High);
+  // Main-thread submissions go to the main list and carry no preference.
+  EXPECT_EQ(rl.enqueue_creation(&top, 0, false), Placed::Main);
+  EXPECT_EQ(top.pref_tid, kNone);
+  // A nested child lands in its spawner's own list.
+  EXPECT_EQ(rl.enqueue_creation(&nested, 1, true), Placed::Local);
+  EXPECT_EQ(nested.pref_tid, 1u);
+  // A foreign thread owns no list, even inside a task body.
+  EXPECT_EQ(rl.enqueue_creation(&foreign, kNone, true), Placed::Main);
+  EXPECT_EQ(foreign.pref_tid, kNone);
+  EXPECT_EQ(rl.acquire(1, rng, src, attempts), &high);
+  EXPECT_EQ(rl.acquire(1, rng, src, attempts), &nested);
+  EXPECT_EQ(src, AcquireSource::OwnList);
+  EXPECT_EQ(rl.acquire(1, rng, src, attempts), &top);
+  EXPECT_EQ(rl.acquire(1, rng, src, attempts), &foreign);
+}
+
+TEST_F(ReadyListsPolicy, ReleasePlacementAndChainPreemption) {
+  ReadyLists<Placeable> rl(2, SchedulerMode::Distributed,
+                           StealOrder::CreationOrder);
+  Placeable a(1), b(2), c(3, true), d(4);
+  EXPECT_EQ(rl.enqueue_released(&a, 1), Placed::Local);
+  EXPECT_EQ(a.pref_tid, 1u);
+  EXPECT_FALSE(rl.preempt_chain(&d));
+  Placeable* batch[] = {&b, &c};
+  rl.enqueue_batch(batch, 2, 0);
+  EXPECT_EQ(b.pref_tid, 0u);
+  EXPECT_EQ(c.pref_tid, ~0u);  // high-priority tasks carry no preference
+  // The pending high-priority task preempts a normal chain, never a
+  // high-priority successor.
+  EXPECT_TRUE(rl.preempt_chain(&d));
+  EXPECT_FALSE(rl.preempt_chain(&c));
+  EXPECT_EQ(rl.acquire(0, rng, src, attempts), &c);
+  EXPECT_EQ(rl.acquire(0, rng, src, attempts), &b);
+  EXPECT_EQ(rl.acquire(0, rng, src, attempts), &a);
+  EXPECT_EQ(src, AcquireSource::Steal);
 }
 
 // --- IdleGate -----------------------------------------------------------------------

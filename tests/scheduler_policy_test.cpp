@@ -267,9 +267,13 @@ void run_dependency_oracle(Config cfg) {
 
 TEST(SchedulerPolicy, ChainDepthSweepHoldsDependencyOracle) {
   for (unsigned depth : {0u, 1u, Config{}.chain_depth}) {
-    Config cfg;
-    cfg.chain_depth = depth;
-    run_dependency_oracle(cfg);
+    for (SchedulerMode mode :
+         {SchedulerMode::Distributed, SchedulerMode::Centralized}) {
+      Config cfg;
+      cfg.chain_depth = depth;
+      cfg.scheduler_mode = mode;
+      run_dependency_oracle(cfg);
+    }
   }
 }
 
@@ -281,13 +285,12 @@ TEST(SchedulerPolicy, ChainDepthSweepHighPriorityStillJumps) {
   }
 }
 
-/// The tentpole preemption pin: a pending high-priority task must preempt a
-/// running normal-priority chain at the next chain boundary — the racy
-/// high-list emptiness probe now lives behind SchedulerPolicy::preempt_chain
-/// and must behave identically through it. Two threads: the worker chains
-/// down a long dependency chain while the main thread (which never helps —
-/// it spin-waits) injects an urgent task mid-chain; the urgent body records
-/// how far the chain had advanced. The bound follows from the probe
+/// The preemption pin: a pending high-priority task must preempt a running
+/// normal-priority chain at the next chain boundary (the racy high-list
+/// emptiness probe is ReadyLists::preempt_chain). Two threads: the worker
+/// chains down a long dependency chain while the main thread (which never
+/// helps — it spin-waits) injects an urgent task mid-chain; the urgent body
+/// records how far the chain had advanced. The bound follows from the probe
 /// semantics: the chain can complete at most the in-flight task plus a
 /// couple of already-promoted steps before the high list is served.
 void run_chain_preemption(Config cfg) {
@@ -324,63 +327,16 @@ void run_chain_preemption(Config cfg) {
   rt.barrier();
   EXPECT_EQ(sink, static_cast<long>(kChain) * 20000);
   EXPECT_LE(urgent_at.load(), at_spawn + 5)
-      << "urgent task waited out the chain (policy="
-      << to_string(cfg.sched_policy) << " chain_depth=" << cfg.chain_depth
+      << "urgent task waited out the chain (chain_depth=" << cfg.chain_depth
       << ")";
 }
 
-TEST(SchedulerPolicy, HighPriorityPreemptsChainUnderBothPolicies) {
-  for (SchedPolicyKind kind :
-       {SchedPolicyKind::Paper, SchedPolicyKind::Aware}) {
-    for (unsigned depth : {0u, 1u, Config{}.chain_depth}) {
-      Config cfg;
-      cfg.sched_policy = kind;
-      cfg.chain_depth = depth;
-      run_chain_preemption(cfg);
-    }
+TEST(SchedulerPolicy, HighPriorityPreemptsChain) {
+  for (unsigned depth : {0u, 1u, Config{}.chain_depth}) {
+    Config cfg;
+    cfg.chain_depth = depth;
+    run_chain_preemption(cfg);
   }
-}
-
-TEST(SchedulerPolicy, AwarePolicyHoldsDependencyOracle) {
-  // The full oracle program (chains + reductions + fan-out) under the aware
-  // policy, across chain depths and both scheduler modes: placement may
-  // differ, results may not.
-  for (unsigned depth : {0u, Config{}.chain_depth}) {
-    for (SchedulerMode mode :
-         {SchedulerMode::Distributed, SchedulerMode::Centralized}) {
-      Config cfg;
-      cfg.sched_policy = SchedPolicyKind::Aware;
-      cfg.chain_depth = depth;
-      cfg.scheduler_mode = mode;
-      run_dependency_oracle(cfg);
-    }
-  }
-}
-
-TEST(SchedulerPolicy, AwareIndependentWorkStillSpreads) {
-  if (std::thread::hardware_concurrency() < 4)
-    GTEST_SKIP() << "spread over >=4 workers needs real hardware parallelism";
-  Config cfg;
-  cfg.num_threads = 8;
-  cfg.sched_policy = SchedPolicyKind::Aware;
-  Runtime rt(cfg);
-  constexpr int kTasks = 256;
-  std::vector<std::thread::id> executor(kTasks);
-  std::vector<long> sinks(kTasks, 0);
-  Rendezvous meet(4);
-  for (int i = 0; i < kTasks; ++i)
-    rt.spawn(
-        [i, &executor, &meet](long* p) {
-          executor[static_cast<std::size_t>(i)] = std::this_thread::get_id();
-          meet.arrive();
-          *p = 0;
-          burn_cycles(200000, p);
-        },
-        out(&sinks[i]));
-  rt.barrier();
-  std::set<std::thread::id> distinct(executor.begin(), executor.end());
-  EXPECT_GE(distinct.size(), 4u)
-      << "aware policy must not serialize independent work";
 }
 
 TEST(SchedulerPolicy, PureChainIsMostlyChainedExecutions) {

@@ -209,17 +209,17 @@ TEST(SpawnApi, ReductionWrapperWithValueParam) {
   EXPECT_EQ(sum, 45);
 }
 
-TEST(SpawnApi, TaskAttrsWeightAndName) {
+TEST(SpawnApi, TaskAttrsNameAndExplicitType) {
   Runtime rt(two_threads());
   TaskType heavy = rt.register_task_type("heavy_kernel");
   EXPECT_EQ(rt.find_task_type("heavy_kernel").id, heavy.id);
   EXPECT_EQ(rt.find_task_type("no_such_type").id, 0u);  // fallback
 
   int x = 0, y = 0;
-  // Explicit type + weight hint.
-  rt.spawn(TaskAttrs{5000, nullptr}, heavy, [](int* p) { *p = 1; }, out(&x));
+  // Explicit type beside empty attrs.
+  rt.spawn(TaskAttrs{}, heavy, [](int* p) { *p = 1; }, out(&x));
   // Type resolved by name through the attrs.
-  rt.spawn(TaskAttrs{0, "heavy_kernel"}, [](int* p) { *p = 2; }, out(&y));
+  rt.spawn(TaskAttrs{"heavy_kernel"}, [](int* p) { *p = 2; }, out(&y));
   rt.barrier();
   EXPECT_EQ(x, 1);
   EXPECT_EQ(y, 2);
@@ -235,8 +235,7 @@ TEST(SpawnApi, PositionalShimBitExactVsTypedAttrs) {
     for (int i = 1; i <= 12; ++i) {
       const auto body = [i](std::int64_t* p) { *p = *p * 31 + i; };
       if (with_attrs)
-        rt.spawn(TaskAttrs{static_cast<std::uint64_t>(i), "shim_step"},
-                 body, inout(&acc));
+        rt.spawn(TaskAttrs{"shim_step"}, body, inout(&acc));
       else
         rt.spawn(step, body, inout(&acc));
     }
