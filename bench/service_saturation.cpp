@@ -18,8 +18,7 @@
 // bench runner serializes this into BENCH_service.json and bench_compare
 // gates both the median throughput and the p99 tail:
 //
-//   ./bench/service_saturation --benchmark_out=BENCH_service.json \
-//       --benchmark_out_format=json
+//   ./bench/service_saturation --benchmark_out=BENCH_service.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
 #include <chrono>

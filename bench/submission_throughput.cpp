@@ -11,8 +11,7 @@
 // The CI bench runner serializes this into BENCH_submission.json
 // (tasks/sec per submitter count) as a perf-trajectory artifact:
 //
-//   ./bench/submission_throughput --benchmark_out=BENCH_submission.json \
-//       --benchmark_out_format=json
+//   ./bench/submission_throughput --benchmark_out=BENCH_submission.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -45,8 +45,8 @@ DependencyAnalyzer::~DependencyAnalyzer() {
     DataEntry* p = buckets_[b].load(std::memory_order_acquire);
     while (p != nullptr) {
       DataEntry* next = p->next.load(std::memory_order_relaxed);
-      if (Version* v = p->latest.load(std::memory_order_acquire))
-        v->release(pool_);
+      p->user_tail->release(pool_);
+      p->latest.load(std::memory_order_acquire)->release(pool_);
       delete p;
       p = next;
     }
@@ -68,8 +68,10 @@ DataEntry& DependencyAnalyzer::entry_for(CounterStripe& st, unsigned slot,
   auto* e = new DataEntry;
   e->user_ptr = addr;
   e->bytes.store(bytes, std::memory_order_relaxed);
-  Version* v0 = Version::create(vpool_, slot, e, addr, bytes,
-                                /*renamed=*/false, /*producer=*/nullptr);
+  Version* v0 = Version::create(vpool_, slot, addr, bytes, /*renamed=*/false,
+                                /*producer=*/nullptr);
+  v0->add_ref();  // the user-tail token
+  e->user_tail = v0;
   e->latest.store(v0, std::memory_order_release);
   DataEntry* checked = head;  // everything from here down is already scanned
   while (true) {
@@ -84,7 +86,8 @@ DataEntry& DependencyAnalyzer::entry_for(CounterStripe& st, unsigned slot,
     for (DataEntry* p = head; p != checked;
          p = p->next.load(std::memory_order_acquire)) {
       if (p->user_ptr == addr) {
-        v0->release(pool_);
+        v0->release(pool_);  // user-tail token
+        v0->release(pool_);  // latest token
         delete e;
         return *p;
       }
@@ -193,10 +196,6 @@ void* DependencyAnalyzer::process_read(CounterStripe& st, TaskNode* task,
     add_edge(st, v->producer(), task, EdgeKind::True);
   }
   task->reads.push_back(v);
-  if (s == e.user_ptr) {
-    e.user_storage_pending.fetch_add(1, std::memory_order_relaxed);
-    task->user_pending_slots.push_back(&e.user_storage_pending);
-  }
   return s;
 }
 
@@ -211,7 +210,7 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
   // CAS). Crucially, v is NOT read at all before the CAS: a lost race means
   // the pointer may refer to a recycled block, and only the transferred
   // token makes its fields trustworthy.
-  Version* v2 = Version::create(vpool_, slot, &e, Version::unresolved_storage(),
+  Version* v2 = Version::create(vpool_, slot, Version::unresolved_storage(),
                                 /*bytes=*/0, /*renamed=*/false, task);
   if (group) {
     // Opening a commuting group: attach it before publication so any access
@@ -256,6 +255,7 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
   void* storage = nullptr;
   bool renamed = false;
   SubmitterAccount* acct = nullptr;
+  bool ancestor_reader = false;  // an unfinished ancestor reads v (no edge)
 
   if (renaming_) {
     // Renaming configuration: never block on WAR/WAW — either reuse the old
@@ -311,10 +311,6 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
         // hold its former latest-token), so this needs no speculative pin.
         v->register_reader();
         task->reads.push_back(v);
-        if (v->storage() == e.user_ptr) {
-          e.user_storage_pending.fetch_add(1, std::memory_order_relaxed);
-          task->user_pending_slots.push_back(&e.user_storage_pending);
-        }
         task->copy_ins.push_back(
             CopyIn{static_cast<const char*>(v->storage()) + keep_lo,
                    static_cast<char*>(storage) + keep_lo, old_ext - keep_lo});
@@ -325,10 +321,10 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
       if (also_reads && ext > old_ext) {
         // Growing inout: bytes [old_ext, ext) were never written by any
         // task, so the body's initial value for them is the program's own
-        // storage. Reading it at task start needs the same quiescence
-        // accounting as any other user-storage access.
-        e.user_storage_pending.fetch_add(1, std::memory_order_relaxed);
-        task->user_pending_slots.push_back(&e.user_storage_pending);
+        // storage: a read of the user tail (frozen: v2 is renamed).
+        Version* tail = e.user_tail;
+        tail->register_reader();
+        task->reads.push_back(tail);
         task->copy_ins.push_back(
             CopyIn{static_cast<const char*>(e.user_ptr) + old_ext,
                    static_cast<char*>(storage) + old_ext, ext - old_ext});
@@ -347,12 +343,32 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
       add_edge(st, v->producer(), task, EdgeKind::Output);
     }
     for (TaskNode* r : v->reader_tasks()) {
-      if (r != task && !r->finished_hint() && !task->has_ancestor(r)) {
+      if (r == task || r->finished_hint()) continue;
+      if (task->has_ancestor(r)) {
+        ancestor_reader = true;
+      } else {
         add_edge(st, r, task, EdgeKind::Anti);
       }
     }
     storage = v->storage();
     v->disown_storage();
+  }
+
+  if (storage == e.user_ptr) {
+    // In-place reuse of the program's buffer: v2 becomes the user tail.
+    // v's producer and readers are finished or ordered before `task` unless
+    // one is an unfinished ancestor; then v2 links v, else v's link.
+    SMPSS_ASSERT(e.user_tail == v);
+    const TaskNode* prod = v->producer();
+    const bool ancestor_pending =
+        ancestor_reader || (prod != nullptr && prod != task &&
+                            !v->is_produced() && task->has_ancestor(prod));
+    Version* link = ancestor_pending ? v : v->user_prev();
+    while (link != nullptr && link->settled()) link = link->user_prev();
+    v2->set_user_prev(link);
+    v2->add_ref();
+    e.user_tail = v2;
+    v->release(pool_);  // v's user-tail token
   }
 
   if (group) {
@@ -370,10 +386,6 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
   v2->finalize_storage(storage, ext, renamed, acct);
 
   task->produces.push_back(v2);
-  if (storage == e.user_ptr) {
-    e.user_storage_pending.fetch_add(1, std::memory_order_relaxed);
-    task->user_pending_slots.push_back(&e.user_storage_pending);
-  }
   v->release(pool_);  // drop the latest-token the CAS transferred to us
   return storage;
 }
@@ -581,6 +593,7 @@ void DependencyAnalyzer::flush_all() {
         std::memcpy(p->user_ptr, v->storage(), v->bytes());
         st.copyback_bytes.fetch_add(v->bytes(), std::memory_order_relaxed);
       }
+      p->user_tail->release(pool_);
       v->release(pool_);
       delete p;
       p = next;
@@ -605,15 +618,19 @@ DependencyAnalyzer::CopyBack DependencyAnalyzer::try_copy_back(
   // readers_pending > 0 and rename, so the bytes we copy from stay stable
   // for the duration of the pin.
   Version* v = pin_latest(st, *e);
-  const bool ready =
-      v->is_produced() &&
-      e->user_storage_pending.load(std::memory_order_acquire) == 0;
-  if (ready) {
-    void* s = v->storage_wait();
-    if (s != e->user_ptr) {
-      std::memcpy(e->user_ptr, s, v->bytes());
-      st.copyback_bytes.fetch_add(v->bytes(), std::memory_order_relaxed);
-    }
+  void* s = v->storage_wait();
+  // The user tail is the pinned head while that lives in the program's
+  // buffer, else frozen; the bytes are quiescent once it (bar our pin) and
+  // its links have settled.
+  Version* tail = s == e->user_ptr ? v : e->user_tail;
+  bool ready = v->is_produced() && tail->settled(tail == v ? 1 : 0);
+  for (Version* p = tail->user_prev(); ready && p != nullptr;
+       p = p->user_prev()) {
+    ready = p->settled();
+  }
+  if (ready && s != e->user_ptr) {
+    std::memcpy(e->user_ptr, s, v->bytes());
+    st.copyback_bytes.fetch_add(v->bytes(), std::memory_order_relaxed);
   }
   v->reader_finished(pool_);
   return ready ? CopyBack::kDone : CopyBack::kNotReady;
@@ -641,17 +658,6 @@ DependencyAnalyzer::Counters DependencyAnalyzer::counters_snapshot() const {
     out.commute_edges += st.commute_edges.load(std::memory_order_relaxed);
   }
   return out;
-}
-
-std::size_t DependencyAnalyzer::live_entries() const noexcept {
-  std::size_t n = 0;
-  for (unsigned b = 0; b < kBuckets; ++b) {
-    for (DataEntry* p = buckets_[b].load(std::memory_order_acquire);
-         p != nullptr; p = p->next.load(std::memory_order_acquire)) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 }  // namespace smpss

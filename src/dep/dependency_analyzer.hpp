@@ -171,8 +171,6 @@ class DependencyAnalyzer {
   /// Sum the per-thread counter stripes. Safe concurrently with submitters.
   Counters counters_snapshot() const;
 
-  std::size_t live_entries() const noexcept;
-
  private:
   /// Per-submitting-thread counter stripe: plain atomic bumps, no shared
   /// cache line between concurrent submitters.

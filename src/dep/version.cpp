@@ -7,9 +7,9 @@
 
 namespace smpss {
 
-Version* Version::create(SlabPool& vpool, unsigned slot, DataEntry* entry,
-                         void* storage, std::size_t bytes, bool renamed,
-                         TaskNode* producer, SubmitterAccount* account) {
+Version* Version::create(SlabPool& vpool, unsigned slot, void* storage,
+                         std::size_t bytes, bool renamed, TaskNode* producer,
+                         SubmitterAccount* account) {
   void* mem = vpool.allocate(slot);
   const int init = producer ? 2 : 1;  // latest token (+ producer token)
   auto* cell = static_cast<RefCell*>(mem);
@@ -26,21 +26,20 @@ Version* Version::create(SlabPool& vpool, unsigned slot, DataEntry* entry,
     cell->refs.fetch_add(init - kDeadBias, std::memory_order_relaxed);
   }
   return ::new (static_cast<char*>(mem) + kPrefixBytes)
-      Version(entry, storage, bytes, renamed, producer, account, &vpool);
+      Version(storage, bytes, renamed, producer, account, &vpool);
 }
 
-Version::Version(DataEntry* entry, void* storage, std::size_t bytes,
-                 bool renamed, TaskNode* producer, SubmitterAccount* account,
-                 SlabPool* vpool)
-    : entry_(entry),
-      storage_(storage),
+Version::Version(void* storage, std::size_t bytes, bool renamed,
+                 TaskNode* producer, SubmitterAccount* account, SlabPool* vpool)
+    : storage_(storage),
       bytes_(bytes),
       renamed_(renamed),
+      produced_(producer == nullptr),  // initial versions are already valid
       account_(account),
       producer_(producer),
       vpool_(vpool),
       group_(nullptr),
-      produced_(producer == nullptr) {  // initial versions are already valid
+      user_prev_(nullptr) {
   if (producer_) producer_->add_ref();
 }
 
@@ -66,11 +65,13 @@ void Version::release(RenamePool& pool) noexcept {
     }
   }
   SlabPool* vpool = vpool_;
+  Version* prev = user_prev_;
   if (renamed_)
     pool.deallocate(storage_.load(std::memory_order_relaxed), bytes_,
                     account_);
   this->~Version();
   vpool->deallocate(reinterpret_cast<char*>(this) - kPrefixBytes);
+  if (prev != nullptr) prev->release(pool);
 }
 
 }  // namespace smpss

@@ -10,6 +10,8 @@
 //   +1 "latest" token   — held while the version is the newest of its datum
 //   +1 producer token   — held until the producing task completes
 //   +1 per reader       — held until each reading task completes
+//   +1 user-tail token  — held while the version is its datum's user tail
+//   +1 per user_prev link from a newer user-storage version
 // When the count drops to zero the version is destroyed and renamed storage
 // is returned to the rename pool. This gives the eager reclamation the paper
 // relies on to keep renamed-memory bounded.
@@ -52,7 +54,6 @@
 namespace smpss {
 
 class RenamePool;
-struct DataEntry;
 struct SubmitterAccount;  // dep/renaming.hpp
 struct AccessGroup;       // dep/access_group.hpp
 
@@ -92,9 +93,8 @@ class Version {
   /// renamed storage was charged to; the credit is issued when this version
   /// frees the buffer — possibly long after the submitting stream drained,
   /// which is why stream accounts are pinned for the runtime's life.
-  static Version* create(SlabPool& vpool, unsigned slot, DataEntry* entry,
-                         void* storage, std::size_t bytes, bool renamed,
-                         TaskNode* producer,
+  static Version* create(SlabPool& vpool, unsigned slot, void* storage,
+                         std::size_t bytes, bool renamed, TaskNode* producer,
                          SubmitterAccount* account = nullptr);
 
   Version(const Version&) = delete;
@@ -133,7 +133,6 @@ class Version {
   std::size_t bytes() const noexcept { return bytes_; }
   bool renamed() const noexcept { return renamed_; }
   SubmitterAccount* account() const noexcept { return account_; }
-  DataEntry* entry() const noexcept { return entry_; }
   TaskNode* producer() const noexcept { return producer_; }
 
   /// Commuting access group this version is the target of (null for normal
@@ -148,6 +147,19 @@ class Version {
   }
   void mark_produced() noexcept {
     produced_.store(true, std::memory_order_release);
+  }
+
+  /// Produced, with no pending reader beyond `pins` (the caller's own).
+  bool settled(int pins = 0) const noexcept {
+    return is_produced() && readers_pending() <= pins;
+  }
+
+  /// Older user-storage version an unfinished ancestor still owns, or null
+  /// (see DataEntry::user_tail). Ref taken before publication.
+  Version* user_prev() const noexcept { return user_prev_; }
+  void set_user_prev(Version* p) noexcept {
+    if (p != nullptr) p->add_ref();
+    user_prev_ = p;
   }
 
   // --- reader registration --------------------------------------------------
@@ -216,8 +228,8 @@ class Version {
   void disown_storage() noexcept { renamed_ = false; }
 
  private:
-  Version(DataEntry* entry, void* storage, std::size_t bytes, bool renamed,
-          TaskNode* producer, SubmitterAccount* account, SlabPool* vpool);
+  Version(void* storage, std::size_t bytes, bool renamed, TaskNode* producer,
+          SubmitterAccount* account, SlabPool* vpool);
   ~Version();
 
   RefCell& rc() const noexcept {
@@ -225,15 +237,15 @@ class Version {
         reinterpret_cast<char*>(const_cast<Version*>(this)) - kPrefixBytes);
   }
 
-  DataEntry* entry_;
   std::atomic<void*> storage_;
   std::size_t bytes_;
   bool renamed_;
+  std::atomic<bool> produced_;  // shares renamed_'s padding word
   SubmitterAccount* account_;  // stream charged for renamed storage, or null
   TaskNode* producer_;  // strong ref; null for initial versions
   SlabPool* vpool_;     // the type-stable pool this block came from
   AccessGroup* group_;  // commuting group targeting this version, or null
-  std::atomic<bool> produced_;
+  Version* user_prev_;  // strong ref; see user_prev()
   SmallVector<TaskNode*, 4> reader_tasks_;  // strong refs, submission-order writes
 };
 
@@ -243,9 +255,8 @@ constexpr std::size_t Version::block_bytes() noexcept {
 
 /// Per-datum bookkeeping (address-mode analysis). Entries live in the
 /// analyzer's lock-free chained hash table (a fixed bucket array with
-/// CAS-insert; see DependencyAnalyzer) and are address-stable for the phase:
-/// versions point back at their entry, and entries are only freed at
-/// flush_all(), which requires quiescence.
+/// CAS-insert; see DependencyAnalyzer) and are address-stable for the
+/// phase: entries are only freed at flush_all(), which requires quiescence.
 struct DataEntry {
   void* user_ptr = nullptr;  ///< the address the program passes to tasks
   /// Largest extent ever *written* at this address. Invariant: the latest
@@ -258,10 +269,12 @@ struct DataEntry {
   /// the new version's storage still unresolved (see Version::storage_wait).
   std::atomic<Version*> latest{nullptr};
 
-  /// Count of unfinished accesses whose storage is the *user* buffer.
-  /// wait_on() needs user storage quiescent before copying a renamed latest
-  /// version back into it.
-  std::atomic<int> user_storage_pending{0};
+  /// Newest version whose storage is the program's buffer (holds a
+  /// user-tail token). Moved by in-place writers in process_write before
+  /// finalize_storage, frozen once the head is renamed. wait_on() may copy
+  /// back once it and its user_prev chain have settled; see "The user tail"
+  /// in docs/ARCHITECTURE.md.
+  Version* user_tail = nullptr;
 
   /// Hash-chain link (prepend-only until flush).
   std::atomic<DataEntry*> next{nullptr};

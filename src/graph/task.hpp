@@ -218,16 +218,14 @@ class TaskNode {
 
   /// Resolved storage address per directional parameter, in parameter order.
   SmallVector<void*, 6> resolved;
-  /// Versions this task reads; reader tokens released at completion.
+  /// Versions this task reads (copy-in sources too); tokens released at
+  /// completion.
   SmallVector<Version*, 4> reads;
   /// Versions this task produces; marked produced + producer token released
   /// at completion.
   SmallVector<Version*, 2> produces;
   /// Copies to run before the body (renamed inout parameters).
   SmallVector<CopyIn, 1> copy_ins;
-  /// Per-datum "user storage still in use" counters this task must decrement
-  /// at completion (wait_on() quiescence accounting; see dep/version.hpp).
-  SmallVector<std::atomic<int>*, 2> user_pending_slots;
 
   // --- commuting access modes (dep/access_group.hpp) ------------------------
 

@@ -616,17 +616,8 @@ void Runtime::retire_close(TaskNode* close, unsigned tid) {
 }
 
 void Runtime::retire_data(TaskNode* t) {
-  // Reader marks first (so WAR decisions see the truth), then user-storage
-  // quiescence, then lifetime refs.
+  // Reader marks first (so WAR decisions see the truth), then lifetime refs.
   for (Version* v : t->reads) v->reader_finished(pool_);
-  for (std::atomic<int>* slot : t->user_pending_slots) {
-    // acq_rel (not plain release): wait_on's quiescence probe pairs with
-    // this decrement, and the count must never be observed below zero —
-    // each slot entry here is backed by exactly one increment at submission.
-    const int prev = slot->fetch_sub(1, std::memory_order_acq_rel);
-    SMPSS_ASSERT(prev > 0);
-    (void)prev;
-  }
   for (Version* v : t->produces) v->release(pool_);
 }
 
@@ -737,7 +728,7 @@ void Runtime::wait_on_addr(const void* addr) {
               "wait_on is main-thread-only and may not be called inside a "
               "task body");
   // An open commuting group on this (or any) datum holds its version
-  // unproduced and its user-storage slots elevated; the main thread reading
+  // unproduced (and with it, maybe the user tail); the main thread reading
   // a result is a serialization point, so seal everything first — otherwise
   // the quiescence probes below would wait forever on a group that only a
   // future submission would close.

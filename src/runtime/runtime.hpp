@@ -347,7 +347,7 @@ class Runtime {
   void retire_close(TaskNode* close, unsigned tid);
 
   /// The data half of a retire, shared by tasks and close nodes: reader
-  /// marks, user-storage quiescence counts, produced-version refs.
+  /// marks, then produced-version refs.
   void retire_data(TaskNode* t);
 
   /// Retire every close node the analyzer queued (groups sealed on the

@@ -115,8 +115,6 @@ class ChaseLevDeque {
     return b > t ? static_cast<std::size_t>(b - t) : 0;
   }
 
-  bool empty_estimate() const noexcept { return size_estimate() == 0; }
-
  private:
   struct Array {
     explicit Array(std::size_t cap)

@@ -233,19 +233,6 @@ class ReadyLists {
     return local_[tid]->size_estimate();
   }
 
-  /// Racy emptiness estimate (idle-sleep gate).
-  bool maybe_has_work() const noexcept {
-    if (!high_.empty_estimate() || !main_.empty_estimate()) return true;
-    if (mode_ == SchedulerMode::Distributed) {
-      for (const auto& d : local_)
-        if (!d->empty_estimate()) return true;
-    }
-    return false;
-  }
-
-  unsigned nthreads() const noexcept { return nthreads_; }
-  SchedulerMode mode() const noexcept { return mode_; }
-
  private:
   unsigned nthreads_;
   SchedulerMode mode_;

@@ -89,8 +89,12 @@ TEST(CoRank, MatchesBruteForceOnRandomRuns) {
       ASSERT_LE(ib, lb);
       // The first t merged elements must be exactly a[0..ia) ∪ b[0..ib)
       // as multisets: check boundary conditions instead of re-merging.
-      if (ia > 0 && ib < lb) ASSERT_LE(a[ia - 1], b[ib]);
-      if (ib > 0 && ia < la) ASSERT_LE(b[ib - 1], a[ia]);
+      if (ia > 0 && ib < lb) {
+        ASSERT_LE(a[ia - 1], b[ib]);
+      }
+      if (ib > 0 && ia < la) {
+        ASSERT_LE(b[ib - 1], a[ia]);
+      }
       (void)merged;
     }
   }
@@ -145,7 +149,9 @@ TEST_P(MultisortSuite, SmpssRegionsNested) {
   auto tt = apps::MultisortTasks::register_in(rt);
   apps::multisort_smpss_regions(rt, tt, data.data(), tmp.data(), n, qs, ms);
   expect_sorted_equal(data, original);
-  if (n / 4 >= qs) EXPECT_GT(rt.stats().taskwaits, 0u);
+  if (n / 4 >= qs) {
+    EXPECT_GT(rt.stats().taskwaits, 0u);
+  }
 }
 
 TEST_P(MultisortSuite, SmpssRepresentants) {

@@ -45,7 +45,9 @@ TEST_P(NQueensSuite, SmpssNestedMatchesSeq) {
   Runtime rt(cfg);
   auto tt = apps::NQueensTasks::register_in(rt);
   EXPECT_EQ(apps::nqueens_smpss(rt, tt, n, depth), apps::nqueens_seq(n));
-  if (n - depth > 0) EXPECT_GT(rt.stats().tasks_nested, 0u);
+  if (n - depth > 0) {
+    EXPECT_GT(rt.stats().tasks_nested, 0u);
+  }
 }
 
 TEST_P(NQueensSuite, ForkJoinMatchesSeq) {

@@ -458,12 +458,13 @@ void run_fuzz_seed(std::uint64_t seed) {
       << opt.describe() << "\n  "
       << smpss::testing::replay_command("pattern_conformance_test",
                                         "PatternFuzz.*", seed);
-  if (opt.accum != AccumMode::None)
+  if (opt.accum != AccumMode::None) {
     ASSERT_EQ(got.accums, oracle_step_sums(spec, opt.nfields))
         << "fuzz seed=" << seed << "\n  " << spec.describe() << "\n  "
         << opt.describe() << "\n  "
         << smpss::testing::replay_command("pattern_conformance_test",
                                           "PatternFuzz.*", seed);
+  }
 }
 
 TEST(PatternFuzz, TimeBoxedRandomSweep) {

@@ -98,7 +98,9 @@ TEST(SchedSimProperty, BoundsHoldOnCholeskyGraph) {
     EXPECT_GE(r.makespan + 1e-9, r.critical_path);
     // Monotone: more processors never hurt a greedy scheduler on unit-ish
     // costs with a fixed priority order.
-    if (prev > 0.0) EXPECT_LE(r.makespan, prev + 1e-9);
+    if (prev > 0.0) {
+      EXPECT_LE(r.makespan, prev + 1e-9);
+    }
     prev = r.makespan;
   }
   // At P=1 makespan equals total work exactly.

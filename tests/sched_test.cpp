@@ -242,14 +242,6 @@ TEST_F(ReadyListsPolicy, RandomStealStillFindsWork) {
   EXPECT_EQ(got->value, 7);
 }
 
-TEST_F(ReadyListsPolicy, MaybeHasWorkEstimates) {
-  ReadyLists<Item> rl(2, SchedulerMode::Distributed, StealOrder::CreationOrder);
-  EXPECT_FALSE(rl.maybe_has_work());
-  Item a(1);
-  rl.push_local(1, &a);
-  EXPECT_TRUE(rl.maybe_has_work());
-}
-
 /// The placement fields ReadyLists' enqueue rules read and write.
 struct Placeable {
   explicit Placeable(int v, bool high = false)

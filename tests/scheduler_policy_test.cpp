@@ -260,9 +260,10 @@ void run_dependency_oracle(Config cfg) {
 
   auto s = rt.stats();
   EXPECT_EQ(s.tasks_executed, s.tasks_spawned);
-  if (cfg.chain_depth == 0)
+  if (cfg.chain_depth == 0) {
     EXPECT_EQ(s.chained_executions, 0u)
         << "chain_depth=0 must reproduce the paper's pure list dispatch";
+  }
 }
 
 TEST(SchedulerPolicy, ChainDepthSweepHoldsDependencyOracle) {

@@ -41,7 +41,9 @@ TEST_P(StrassenSuite, MatchesGemmOracle) {
   flat_from_blocked(c.data(), hc);
   // Strassen loses some accuracy by construction; tolerance reflects that.
   EXPECT_LE(max_abs_diff(c, c_oracle), 5e-2f * static_cast<float>(n));
-  if (nested && nb > 1) EXPECT_GT(rt.stats().tasks_nested, 0u);
+  if (nested && nb > 1) {
+    EXPECT_GT(rt.stats().tasks_nested, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

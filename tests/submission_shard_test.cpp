@@ -285,15 +285,13 @@ TEST(ConcurrentIntrospection, StatsAndWaitOnRaceSubmitters) {
   EXPECT_EQ(s.tasks_nested, static_cast<std::uint64_t>(kParents) * kChildren);
 }
 
-TEST(ConcurrentIntrospection, WaitOnDuringDrainNeverUnderflowsPending) {
-  // Regression (debug assert): a producer retiring into user storage
-  // decrements the entry's user_storage_pending; wait_on() copy-backs
-  // sample it while parents are still draining write chains into the same
-  // datum. A misordered decrement could transiently underflow the counter
-  // (and let a wait_on read a half-retired version). The retire path now
-  // asserts the pre-decrement value is positive; this interleaving —
-  // wait_on hammering a datum whose generator is mid-drain — is the one
-  // that tripped the old ordering.
+TEST(ConcurrentIntrospection, WaitOnDuringNestedDrainKeepsTotal) {
+  // wait_on() copy-backs probe the datum's user tail while generators are
+  // still submitting write chains into it from worker threads: the pin
+  // forces those writers to rename, and the copy-back must never land
+  // under an in-place producer or lose an update. This interleaving —
+  // wait_on hammering a datum whose generator is mid-drain — once tripped
+  // a misordered retire-side decrement of the wait_on quiescence state.
   Config cfg;
   cfg.num_threads = 4;
   cfg.nested_tasks = true;
@@ -308,7 +306,7 @@ TEST(ConcurrentIntrospection, WaitOnDuringDrainNeverUnderflowsPending) {
     // Races the generator's still-submitting chain. The copied-back value
     // is some produced prefix; it cannot be read here without racing a
     // later in-place producer, so the checked outcome is the final total
-    // (plus the debug underflow assert and TSan on the pending counter).
+    // (plus TSan on the tail probe and the copy-back).
     rt.wait_on(&x);
   }
   rt.barrier();
