@@ -37,6 +37,17 @@ std::optional<long long> env_int(const char* name) {
   return v;
 }
 
+std::optional<long long> env_int_in(const char* name, long long lo,
+                                    long long hi) {
+  auto v = env_int(name);
+  if (!v || (*v >= lo && *v <= hi)) return v;
+  char why[96];
+  std::snprintf(why, sizeof why, "expected an integer in [%lld, %lld]", lo,
+                hi);
+  env_reject(name, *env_string(name), why);
+  return std::nullopt;
+}
+
 std::optional<bool> env_bool(const char* name) {
   auto s = env_string(name);
   if (!s) return std::nullopt;

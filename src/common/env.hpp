@@ -17,6 +17,10 @@ std::optional<std::string> env_string(const char* name);
 /// in range ("3x", "abc") is rejected whole: nullopt plus one stderr line
 /// naming the variable and value. Never aborts.
 std::optional<long long> env_int(const char* name);
+/// env_int restricted to [lo, hi]: a value outside is rejected like a
+/// malformed one, expecting "an integer in [lo, hi]".
+std::optional<long long> env_int_in(const char* name, long long lo,
+                                    long long hi);
 /// Accepts 0/1/true/false/on/off/yes/no (any case); anything else is
 /// rejected like a malformed env_int value.
 std::optional<bool> env_bool(const char* name);

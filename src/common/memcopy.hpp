@@ -1,15 +1,11 @@
 // Overlap-safe byte copy for the data-movement paths.
 //
-// The runtime's copy-in/copy-back moves (rename staging, group inherit
-// copies, shared-segment publish/fetch in the multi-process backend) are
-// *usually* between disjoint allocations — but "usually" stopped being a
-// proof once transfers can stage through a shared segment whose layout the
-// runtime does not control: a user can hand the runtime a datum that
-// already lives inside the segment, making src and dst ranges of one copy
-// overlap. memcpy on overlapping ranges is UB; memmove costs the same on
-// every libc that matters (it dispatches to the memcpy path when the
-// ranges are disjoint), so the data-movement paths use this helper and the
-// question disappears.
+// The runtime's copy-in moves (rename staging, group inherit copies) are
+// between disjoint allocations, but nothing in their types proves it.
+// memcpy on overlapping ranges is UB; memmove costs the same on every libc
+// that matters (it dispatches to the memcpy path when the ranges are
+// disjoint), so the data-movement paths use this helper and the question
+// disappears.
 #pragma once
 
 #include <cstddef>

@@ -18,15 +18,15 @@
 //   SMPSS_STREAMS           service-mode stream registry capacity
 //   SMPSS_STATS_PERIOD_MS   periodic JSON stats exporter period (0 = off)
 //   SMPSS_STATS_FILE        exporter destination ("" = stderr, appended)
-//   SMPSS_PROCS             worker processes for the pattern drivers'
-//                           multi-process backend (1 = single-process)
 //
 // A malformed value (SMPSS_NUM_THREADS=3x, SMPSS_RENAMING=maybe,
 // SMPSS_SCHEDULER=central) is rejected whole with one stderr line naming it;
-// the default stays. A set SMPSS_* name that is no setting (misspelled, or
-// retired like SMPSS_DEP_LOCKFREE and SMPSS_SCHED_POLICY) gets one such line
-// too; the test and
-// bench variables (SMPSS_TEST_*, SMPSS_FUZZ_*, SMPSS_BENCH_SCALE) are legal.
+// the default stays. So is an integer outside its setting's range
+// (SMPSS_NUM_THREADS=0 or above 1024, SMPSS_TASK_WINDOW=-5, any value its
+// field's type cannot hold). A set SMPSS_* name that is no setting
+// (misspelled, or retired like SMPSS_DEP_LOCKFREE and SMPSS_SCHED_POLICY)
+// gets one such line too; the test and bench variables (SMPSS_TEST_*,
+// SMPSS_FUZZ_*, SMPSS_BENCH_SCALE) are legal.
 #pragma once
 
 #include <cstddef>
@@ -118,13 +118,10 @@ struct Config {
   /// Exporter destination, opened in append mode. Empty = stderr.
   std::string stats_path;
 
-  /// Worker processes of the multi-process dependency manager
-  /// (ipc/dist_runtime.hpp): the pattern drivers shard the datum space by
-  /// hash across this many rank processes over a shared-memory segment.
-  /// 1 (the default) is the existing single-process runtime, bit-exact —
-  /// a Runtime itself never forks; only the pattern run_pattern() driver
-  /// consults this field and routes to the distributed backend. Clamped to
-  /// [1, 16] by normalize().
+  /// Inert: the runtime never reads it. The runtime is one process with one
+  /// dependency manager, as in the paper; this field is left over from a
+  /// removed multi-process backend and stays only so that perfbench's
+  /// config echo still compiles. Its environment variable is retired.
   unsigned procs = 1;
 
   /// Defaults overridden by SMPSS_* environment variables.

@@ -580,9 +580,7 @@ void Runtime::retire_close(TaskNode* close, unsigned tid) {
   // finished ran maybe_init_copy() under the token, but a group sealed with
   // zero members (open, immediately superseded) still owes the renamed
   // storage its previous contents. The analyzer parks such copies on the
-  // close node's own copy_ins. safe_copy, not memcpy: master and private
-  // extents may overlap once a datum lives inside a shared transfer
-  // segment the runtime did not allocate.
+  // close node's own copy_ins (safe_copy: see common/memcopy.hpp).
   for (const CopyIn& c : close->copy_ins) safe_copy(c.dst, c.src, c.bytes);
 
   // Concurrent: fold every worker's private into the group storage. The
@@ -635,16 +633,6 @@ void Runtime::drain_group_closes() {
       c = next;
     }
   }
-}
-
-bool Runtime::help_one() {
-  const unsigned tid = submitter_tid();
-  if (tid == kForeignTid) return false;
-  if (TaskNode* t = acquire(tid)) {
-    execute_task(t, tid);
-    return true;
-  }
-  return false;
 }
 
 void Runtime::help_once() {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <initializer_list>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string>
@@ -323,6 +324,96 @@ TEST(Env, UnknownChoiceRejectedWithOneDiagnostic) {
   EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 2) << err;
 }
 
+/// Success when every field an SMPSS_* integer sets is equal in `a` and `b`.
+::testing::AssertionResult same_int_settings(const Config& a,
+                                             const Config& b) {
+  if (a.num_threads == b.num_threads && a.task_window == b.task_window &&
+      a.rename_memory_limit == b.rename_memory_limit &&
+      a.chain_depth == b.chain_depth && a.pool_cache == b.pool_cache &&
+      a.max_streams == b.max_streams &&
+      a.stats_period_ms == b.stats_period_ms)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "an integer setting changed";
+}
+
+TEST(Env, OutOfRangeIntsRejectedWithOneDiagnostic) {
+  // Regression: each value passed a sign check and then wrapped on the cast
+  // (5000000000 threads became 705032704, 2^44 MB of rename memory became
+  // 0 bytes, 2^32 streams became 0), or failed the sign check silently.
+  const Config defaults;
+  const std::pair<const char*, const char*> cases[] = {
+      {"SMPSS_NUM_THREADS", "0"},
+      {"SMPSS_NUM_THREADS", "-3"},
+      {"SMPSS_NUM_THREADS", "1025"},
+      {"SMPSS_NUM_THREADS", "5000000000"},
+      {"SMPSS_TASK_WINDOW", "0"},
+      {"SMPSS_TASK_WINDOW", "-5"},
+      {"SMPSS_RENAME_MEMORY_MB", "0"},
+      {"SMPSS_RENAME_MEMORY_MB", "-1"},
+      {"SMPSS_RENAME_MEMORY_MB", "17592186044416"},
+      {"SMPSS_CHAIN_DEPTH", "-1"},
+      {"SMPSS_CHAIN_DEPTH", "4294967296"},
+      {"SMPSS_POOL_CACHE", "-1"},
+      {"SMPSS_POOL_CACHE", "4294967296"},
+      {"SMPSS_STREAMS", "0"},
+      {"SMPSS_STREAMS", "4294967296"},
+      {"SMPSS_STATS_PERIOD_MS", "-1"},
+      {"SMPSS_STATS_PERIOD_MS", "4294967296"},
+  };
+  for (const auto& [name, value] : cases) {
+    std::string err;
+    const Config c = from_env_with({{name, value}}, err);
+    EXPECT_TRUE(same_int_settings(c, defaults)) << name << "=" << value;
+    EXPECT_EQ(occurrences(err, "smpss: ignoring " + std::string(name) +
+                                   "=\"" + value +
+                                   "\" (expected an integer in ["),
+              1u)
+        << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  }
+}
+
+TEST(Env, IntSettingsAcceptTheirWholeRange) {
+  // The bounds themselves are legal; only Config::from_env() runs, so no
+  // Runtime ever starts the largest thread count.
+  const std::size_t mb_max = std::numeric_limits<std::size_t>::max() >> 20;
+  const std::string mb_max_str = std::to_string(mb_max);
+  std::string err;
+  const Config hi =
+      from_env_with({{"SMPSS_NUM_THREADS", "1024"},
+                     {"SMPSS_TASK_WINDOW", "9223372036854775807"},
+                     {"SMPSS_RENAME_MEMORY_MB", mb_max_str.c_str()},
+                     {"SMPSS_CHAIN_DEPTH", "4294967295"},
+                     {"SMPSS_POOL_CACHE", "4294967295"},
+                     {"SMPSS_STREAMS", "4294967295"},
+                     {"SMPSS_STATS_PERIOD_MS", "4294967295"}},
+                    err);
+  EXPECT_TRUE(err.empty()) << err;
+  EXPECT_EQ(hi.num_threads, 1024u);
+  EXPECT_EQ(hi.task_window, std::size_t(9223372036854775807));
+  EXPECT_EQ(hi.rename_memory_limit, mb_max << 20);
+  EXPECT_EQ(hi.chain_depth, 4294967295u);
+  EXPECT_EQ(hi.pool_cache, 4294967295u);
+  EXPECT_EQ(hi.max_streams, 4294967295u);
+  EXPECT_EQ(hi.stats_period_ms, 4294967295u);
+  const Config lo = from_env_with({{"SMPSS_NUM_THREADS", "1"},
+                                   {"SMPSS_TASK_WINDOW", "1"},
+                                   {"SMPSS_RENAME_MEMORY_MB", "1"},
+                                   {"SMPSS_CHAIN_DEPTH", "0"},
+                                   {"SMPSS_POOL_CACHE", "0"},
+                                   {"SMPSS_STREAMS", "1"},
+                                   {"SMPSS_STATS_PERIOD_MS", "0"}},
+                                  err);
+  EXPECT_TRUE(err.empty()) << err;
+  EXPECT_EQ(lo.num_threads, 1u);
+  EXPECT_EQ(lo.task_window, 1u);
+  EXPECT_EQ(lo.rename_memory_limit, std::size_t(1) << 20);
+  EXPECT_EQ(lo.chain_depth, 0u);
+  EXPECT_EQ(lo.pool_cache, 0u);
+  EXPECT_EQ(lo.max_streams, 1u);
+  EXPECT_EQ(lo.stats_period_ms, 0u);
+}
+
 TEST(Env, UnknownAndRetiredNamesDiagnosed) {
   std::string err;
   const Config c = from_env_with({{"SMPSS_DEP_LOCKFREE", "1"},
@@ -330,16 +421,18 @@ TEST(Env, UnknownAndRetiredNamesDiagnosed) {
                                   {"SMPSS_AWARE_CRIT_PPM", "2000000"},
                                   {"SMPSS_AWARE_LOCALITY_PPM", "1"},
                                   {"SMPSS_AWARE_COST_NS", "5"},
+                                  {"SMPSS_PROCS", "2"},
                                   {"SMPSS_NUM_THREAD", "2"},
                                   {"SMPSS_NUM_THREADS", "3"}},
                                  err);
   EXPECT_EQ(c.num_threads, 3u);
+  EXPECT_EQ(c.procs, 1u);
   for (const char* name :
        {"SMPSS_DEP_LOCKFREE", "SMPSS_SCHED_POLICY", "SMPSS_AWARE_CRIT_PPM",
-        "SMPSS_AWARE_LOCALITY_PPM", "SMPSS_AWARE_COST_NS"})
+        "SMPSS_AWARE_LOCALITY_PPM", "SMPSS_AWARE_COST_NS", "SMPSS_PROCS"})
     EXPECT_EQ(occurrences(err, std::string(name) + "=\""), 1u)
         << name << ": " << err;
-  EXPECT_EQ(occurrences(err, "(retired setting)\n"), 5u) << err;
+  EXPECT_EQ(occurrences(err, "(retired setting)\n"), 6u) << err;
   EXPECT_EQ(occurrences(err, "smpss: ignoring SMPSS_NUM_THREAD=\"2\" "
                              "(unknown setting)\n"),
             1u)
@@ -444,10 +537,10 @@ TEST(MemCopy, RangesOverlapTruthTable) {
 }
 
 TEST(MemCopy, SafeCopyHandlesOverlapBothDirections) {
-  // Regression for the close-node inherit copies (runtime.cpp) and the
-  // shared-segment publish/fetch path: a memcpy here corrupted data when a
-  // transfer's src and dst ranges aliased. safe_copy must behave like the
-  // sequential byte-at-a-time oracle in both shift directions.
+  // Regression for the close-node inherit copies (runtime.cpp): a memcpy
+  // here corrupted data when a transfer's src and dst ranges aliased.
+  // safe_copy must behave like the sequential byte-at-a-time oracle in both
+  // shift directions.
   std::vector<unsigned char> init(64);
   for (std::size_t i = 0; i < init.size(); ++i)
     init[i] = static_cast<unsigned char>(i);

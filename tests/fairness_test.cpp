@@ -203,16 +203,22 @@ TEST(AdmissionFairness, PerStreamWindowThrottlesOnlyItself) {
   StreamHandle free_s = rt.open_stream({.name = "free"});
   long c0 = 0, c1 = 0;
   std::thread tc([&] {
-    for (int i = 0; i < 200; ++i) {
-      // A microsecond of work per task keeps the 2-deep window full so the
-      // submitter actually hits its cap.
-      capped.post(
-          [](long* c) {
-            for (int k = 0; k < 50; ++k) asm volatile("" ::: "memory");
-            *c += 1;
-          },
-          inout(&c0));
-    }
+    // The chain's head holds the capped stream back until it has queued,
+    // so the 2-deep window fills whatever the workers' speed (a slow
+    // submitter, as under TSan, used to leave it unfilled).
+    auto* cs = capped.state();
+    capped.post(
+        [cs](long* c) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (cs->throttled.load() == 0 &&
+                 std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+          *c += 1;
+        },
+        inout(&c0));
+    for (int i = 1; i < 200; ++i)
+      capped.post([](long* c) { *c += 1; }, inout(&c0));
     capped.drain();
   });
   std::thread tf([&] {

@@ -344,14 +344,30 @@ TEST(SchedulerPolicy, PureChainIsMostlyChainedExecutions) {
   // A single long dependency chain with the default bounded chaining: most
   // steps must ride the completion-side fast path, observable both in the
   // stats and in the per-event trace flag.
+  //
+  // A gate task heads the chain and opens once everything is submitted, so
+  // every successor already exists when its predecessor completes. Without
+  // it a slow submitter (as under TSan) lets the chain run dry, and steps
+  // released at spawn time never chain.
   Config cfg;
   cfg.num_threads = 4;
   cfg.tracing = true;
   Runtime rt(cfg);
   constexpr int kLen = 512;
   long x = 0;
+  std::atomic<bool> submitted{false};
+  rt.spawn(
+      [&submitted](long*) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!submitted.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline)
+          std::this_thread::yield();
+      },
+      inout(&x));
   for (int i = 0; i < kLen; ++i)
     rt.spawn([](long* p) { burn_cycles(2000, p); }, inout(&x));
+  submitted.store(true, std::memory_order_release);
   rt.barrier();
   EXPECT_EQ(x, static_cast<long>(kLen) * 2000);
   auto s = rt.stats();

@@ -1,11 +1,14 @@
 // Service mode: concurrent client streams against the sequential oracle,
 // future/callback exactly-once semantics, drain()/close() guarantees (no
 // leaked tasks, callbacks complete before close returns), per-stream stats
-// splits, the JSON exporter, and graceful whole-runtime shutdown.
+// splits, the JSON exporter (and its unopenable-path fallback), and
+// graceful whole-runtime shutdown.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -253,6 +256,26 @@ TEST(ServiceMode, StatsJsonExporterWritesLines) {
   EXPECT_NE(last.find("\"p99_ns\":"), std::string::npos) << last;
   EXPECT_NE(last.find("\"retired\":100"), std::string::npos) << last;
   std::remove(path.c_str());
+}
+
+TEST(ServiceMode, UnopenableStatsFileReportedThenStderr) {
+  // Regression: a failed open fell back to stderr without saying why.
+  const std::string path =
+      ::testing::TempDir() + "smpss_no_such_dir/stats.jsonl";
+  ::testing::internal::CaptureStderr();
+  {
+    Config cfg = service_config(2);
+    cfg.stats_period_ms = 60000;  // only the final line
+    cfg.stats_path = path;
+    Runtime rt(cfg);
+  }  // destructor emits the final line and joins the exporter
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  const std::string diag = "smpss: cannot open SMPSS_STATS_FILE \"" + path +
+                           "\" (" + std::strerror(ENOENT) + ")";
+  const std::size_t at = err.find(diag);
+  ASSERT_NE(at, std::string::npos) << err;
+  EXPECT_EQ(err.find(diag, at + 1), std::string::npos) << err;  // one line
+  EXPECT_NE(err.find("\"tasks_executed\":"), std::string::npos) << err;
 }
 
 TEST(ServiceMode, GracefulShutdown) {
